@@ -115,7 +115,7 @@ def _cmd_distinguish(args: argparse.Namespace) -> int:
     obj = serialize.load_json(args.states)
     states, labels = serialize.pure_states_from_json(obj)
     if args.pad is not None:
-        s = distinguisher.pad_with_ancilla(states, args.pad)
+        s = distinguisher.pad_with_ancilla(states, args.pad, args.distinct_tol)
     else:
         s = distinguisher.validate_state_set(states, args.distinct_tol)
     order = None
@@ -220,7 +220,7 @@ def _cmd_holevo(args: argparse.Namespace) -> int:
             ens = infotheory.Ensemble(priors=flag_priors, states=ens.states)
         except ValueError as exc:
             raise serialize.SchemaError(f"bad --priors value: {exc}") from exc
-    result = infotheory.violation_report(ens, padded_dim=len(ens.states))
+    result = infotheory.violation_report(ens, padded_dim=len(ens.states), fp_tol=args.fp_tol)
     config = {"states": args.states, "priors": args.priors, "fp_tol": args.fp_tol}
     lines = [
         f"holevo: chi = {result['chi_bits']:.6f} bits over dim {result['qubit_dim']}, "

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.optimize
 
 from .qlinalg import (
     DensityMatrix,
@@ -141,20 +140,23 @@ def induced_map(ix: DeutschInteraction, rho_in: DensityMatrix) -> np.ndarray:
     """Superoperator matrix of rho -> Tr_sys[V (rho_in (x) rho) V^dag].
 
     Returns S of shape (d_ctc^2, d_ctc^2) with vec(M(rho)) = S @ vec(rho)
-    for row-major vec. Built by applying the map to every matrix unit.
+    for row-major vec. Reading V as the tensor V[s, c, t, i] (output system,
+    output CTC, input system, input CTC index),
+
+        S[(c, c'), (i, j)] = sum_{s, t, u} V[s, c, t, i] rho_in[t, u] conj(V[s, c', u, j]),
+
+    which is evaluated as two tensor contractions: W = V rho_in over t, then
+    W against conj(V) over (s, u). That costs O(d_sys^2 d_ctc^4) operations,
+    where applying the map to each of the d_ctc^2 matrix units costs
+    O(d_sys^3 d_ctc^5).
     """
     if rho_in.dim != ix.d_sys:
         raise ValueError(f"input dim {rho_in.dim} does not match system dim {ix.d_sys}")
-    d = ix.d_ctc
-    dims = (ix.d_sys, d)
-    s = np.empty((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            unit = np.zeros((d, d), dtype=complex)
-            unit[i, j] = 1.0
-            joint = ix.V @ tensor(rho_in.matrix, unit) @ dagger(ix.V)
-            s[:, i * d + j] = partial_trace(joint, dims, keep=1).reshape(-1)
-    return s
+    d_s, d = ix.d_sys, ix.d_ctc
+    v = ix.V.reshape(d_s, d, d_s, d)
+    w = np.einsum("scti,tu->scui", v, rho_in.matrix, optimize=True)
+    s = np.einsum("scui,sduj->cdij", w, v.conj(), optimize=True)
+    return s.reshape(d * d, d * d)
 
 
 def apply_superoperator(s: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -316,9 +318,12 @@ def _max_entropy_fixed_state(right: np.ndarray, start: DensityMatrix) -> Density
     Entropy is strictly concave, so the maximizer over the (convex, compact)
     set of fixed states is unique. The space is parametrized by Hermitian
     traceless directions around an interior starting point and optimized with
-    BFGS; leaving the positive semidefinite region is fenced off by a large
-    objective value.
+    the Nelder-Mead simplex method; leaving the positive semidefinite region
+    is fenced off by a large objective value. scipy is imported here, its only
+    use, so that importing the package does not pay for it.
     """
+    import scipy.optimize
+
     d = start.dim
     directions = _hermitian_traceless_directions(right, d)
     if not directions:
@@ -341,6 +346,21 @@ def _max_entropy_fixed_state(right: np.ndarray, start: DensityMatrix) -> Density
     return out if out is not None else start
 
 
+def _system_output(
+    ix: DeutschInteraction, rho_in: DensityMatrix, rho_ctc: DensityMatrix
+) -> DensityMatrix:
+    joint = ix.V @ tensor(rho_in.matrix, rho_ctc.matrix) @ dagger(ix.V)
+    out = partial_trace(joint, (ix.d_sys, ix.d_ctc), keep=0)
+    return DensityMatrix((out + out.conj().T) / 2.0)
+
+
+def _check_self_consistency(residual: float) -> None:
+    if residual > SELF_CONSISTENCY_TOL:
+        raise ValueError(
+            f"rho_ctc violates self-consistency: residual {residual:.3e} > {SELF_CONSISTENCY_TOL}"
+        )
+
+
 def output_state(
     ix: DeutschInteraction, rho_in: DensityMatrix, rho_ctc: DensityMatrix
 ) -> DensityMatrix:
@@ -352,14 +372,10 @@ def output_state(
     if rho_in.dim != ix.d_sys or rho_ctc.dim != ix.d_ctc:
         raise ValueError("state dimensions do not match the interaction")
     s = induced_map(ix, rho_in)
-    residual = np.abs(apply_superoperator(s, rho_ctc.matrix) - rho_ctc.matrix).max()
-    if residual > SELF_CONSISTENCY_TOL:
-        raise ValueError(
-            f"rho_ctc violates self-consistency: residual {residual:.3e} > {SELF_CONSISTENCY_TOL}"
-        )
-    joint = ix.V @ tensor(rho_in.matrix, rho_ctc.matrix) @ dagger(ix.V)
-    out = partial_trace(joint, (ix.d_sys, ix.d_ctc), keep=0)
-    return DensityMatrix((out + out.conj().T) / 2.0)
+    _check_self_consistency(
+        float(np.abs(apply_superoperator(s, rho_ctc.matrix) - rho_ctc.matrix).max())
+    )
+    return _system_output(ix, rho_in, rho_ctc)
 
 
 def evolve(
@@ -369,13 +385,16 @@ def evolve(
 
     Refuses to produce an output when the fixed point is not unique: the
     raised ``NonUniqueFixedPointError`` carries the ``FixedPointResult`` so
-    callers can inspect the ambiguity.
+    callers can inspect the ambiguity. The superoperator is built once: the
+    self-consistency check that ``output_state`` makes is read from
+    ``fp.residual``, the same defect of the same map.
     """
     fp = fixed_points(ix, rho_in, fp_tol)
     if not fp.unique:
         raise NonUniqueFixedPointError(fp)
     assert fp.representative is not None
-    return output_state(ix, rho_in, fp.representative), fp
+    _check_self_consistency(fp.residual)
+    return _system_output(ix, rho_in, fp.representative), fp
 
 
 def cesaro_iterate(

@@ -133,12 +133,15 @@ def validate_state_set(
     return StateSet(dim=dim, states=tuple(raw))
 
 
-def pad_with_ancilla(states: list[PureState], target_dim: int) -> StateSet:
+def pad_with_ancilla(
+    states: list[PureState], target_dim: int, distinct_tol: float = DEFAULT_DISTINCT_TOL
+) -> StateSet:
     """Append an all-zeros ancilla register to lift states into `target_dim`.
 
     Each |psi> becomes |psi> (x) |0..0>. The target must be an integer
     multiple of the state dimension and the list must have target_dim
-    members afterwards.
+    members afterwards; the padded list is validated with `distinct_tol`
+    as in ``validate_state_set``.
     """
     if not states:
         raise ValueError("state list is empty")
@@ -148,7 +151,7 @@ def pad_with_ancilla(states: list[PureState], target_dim: int) -> StateSet:
     d_anc = target_dim // d
     anc = basis_ket(d_anc, 0)
     padded = [PureState(np.kron(st.vector, anc)) for st in states]
-    return validate_state_set(padded)
+    return validate_state_set(padded, distinct_tol)
 
 
 def _orthonormalize_against(

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .deutsch import DEFAULT_FP_TOL
 from .distinguisher import (
     build_distinguisher,
     classify,
@@ -98,13 +99,16 @@ def _mutual_information_bits(joint: np.ndarray) -> float:
     return float(total)
 
 
-def ctc_accessible_info(e: Ensemble, padded_dim: int) -> float:
+def ctc_accessible_info(
+    e: Ensemble, padded_dim: int, fp_tol: float = DEFAULT_FP_TOL
+) -> float:
     """Information a distinguisher-equipped receiver extracts, in bits.
 
     The ensemble must consist of distinct pure states under uniform priors
     and must have exactly ``padded_dim`` members. Each state is padded with
     an all-zeros ancilla, the unitary family is constructed, and every state
-    is classified through the self-consistency engine. The result is the
+    is classified through the self-consistency engine with fixed-point
+    tolerance ``fp_tol``. The result is the
     mutual information between the source index and the classification
     label (log2 N when classification is perfect, as the construction
     guarantees).
@@ -120,16 +124,16 @@ def ctc_accessible_info(e: Ensemble, padded_dim: int) -> float:
     ix = build_distinguisher(padded, family)
     joint = np.zeros((n, n))
     for j in range(n):
-        label, _prob, _fp = classify(ix, padded, j)
+        label, _prob, _fp = classify(ix, padded, j, fp_tol)
         joint[j, label] += 1.0 / n
     return _mutual_information_bits(joint)
 
 
-def violation_report(e: Ensemble, padded_dim: int) -> dict:
+def violation_report(e: Ensemble, padded_dim: int, fp_tol: float = DEFAULT_FP_TOL) -> dict:
     """Compare the Holevo quantity of the raw ensemble against what the
     distinguisher-equipped receiver obtains through the padded circuit."""
     chi = holevo_chi(e)
-    accessible = ctc_accessible_info(e, padded_dim)
+    accessible = ctc_accessible_info(e, padded_dim, fp_tol)
     return {
         "chi_bits": chi,
         "accessible_bits": accessible,

@@ -87,6 +87,16 @@ class TestDistinguishCommand:
         report = json.loads(capsys.readouterr().out)
         assert [r["label"] for r in report["result"]["classifications"]] == [0, 1, 2, 3]
 
+    def test_padding_honours_distinct_tol(self, tmp_path, capsys):
+        # overlap cos(0.3) ~ 0.955 passes the default tolerance but not 1 - 0.5
+        near = np.array([np.cos(0.3), np.sin(0.3)], dtype=complex)
+        path = write_state_file(tmp_path / "near.json", [basis_ket(2, 0), near])
+        assert main(["distinguish", "--states", path, "--pad", "2"]) == 0
+        capsys.readouterr()
+        assert main(["distinguish", "--states", path, "--pad", "2",
+                     "--distinct-tol", "0.5"]) == 1
+        assert "coincide" in capsys.readouterr().err
+
     def test_duplicate_states_domain_error(self, tmp_path, capsys):
         path = write_state_file(tmp_path / "dup.json", [basis_ket(2, 0), basis_ket(2, 0)])
         assert main(["distinguish", "--states", path]) == 1
@@ -202,6 +212,12 @@ class TestHolevoCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["result"]["accessible_bits"] == pytest.approx(3.0, abs=1e-9)
         assert report["result"]["chi_bits"] <= 1.0 + 1e-12
+
+    def test_fp_tol_reaches_the_solver(self, bb84_states_file, capsys):
+        # a tolerance of 1.0 counts every singular value as zero, so the
+        # fixed space is ambiguous and the receiver cannot classify
+        assert main(["holevo", "--states", bb84_states_file, "--fp-tol", "1.0"]) == 1
+        assert "ambiguous" in capsys.readouterr().err
 
     def test_nonuniform_priors_rejected(self, bb84_states_file, capsys):
         assert main(["holevo", "--states", bb84_states_file,

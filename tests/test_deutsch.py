@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import haar_state, random_density, random_unitary
+import ctcsim.deutsch as deutsch
 from ctcsim.deutsch import (
     DeutschInteraction,
     NonUniqueFixedPointError,
@@ -20,6 +23,7 @@ from ctcsim.qlinalg import (
     X,
     DensityMatrix,
     basis_ket,
+    dagger,
     identity,
     minus_ket,
     partial_trace,
@@ -64,6 +68,23 @@ def kraus_superoperator(ix: DeutschInteraction, rho_in: DensityMatrix) -> np.nda
             extract = np.kron(basis_ket(d_s, a).conj().reshape(1, d_s), identity(d_c))
             k = np.sqrt(probs[idx]) * (extract @ ix.V @ inject)
             s += np.kron(k, k.conj())
+    return s
+
+
+def matrix_unit_superoperator(ix: DeutschInteraction, rho_in: DensityMatrix) -> np.ndarray:
+    """Reference superoperator: the map applied to every matrix unit E_ij.
+
+    Column i*d + j of S is vec(Tr_sys[V (rho_in (x) E_ij) V^dag]), one dense
+    joint-space product per unit; ``induced_map`` must agree with it.
+    """
+    d = ix.d_ctc
+    s = np.empty((d * d, d * d), dtype=complex)
+    for i in range(d):
+        for j in range(d):
+            unit = np.zeros((d, d), dtype=complex)
+            unit[i, j] = 1.0
+            joint = ix.V @ tensor(rho_in.matrix, unit) @ dagger(ix.V)
+            s[:, i * d + j] = partial_trace(joint, (ix.d_sys, d), keep=1).reshape(-1)
     return s
 
 
@@ -154,6 +175,20 @@ class TestInducedMap:
     def test_dimension_mismatch(self, two_state_circuit):
         with pytest.raises(ValueError, match="dim"):
             induced_map(two_state_circuit, DensityMatrix(identity(3) / 3))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d_sys=st.integers(1, 4),
+        d_ctc=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_matrix_unit_reference(self, d_sys, d_ctc, seed):
+        rng = np.random.default_rng(seed)
+        ix = random_interaction(rng, d_sys, d_ctc)
+        rho_in = DensityMatrix(random_density(rng, d_sys))
+        np.testing.assert_allclose(
+            induced_map(ix, rho_in), matrix_unit_superoperator(ix, rho_in), rtol=0, atol=1e-12
+        )
 
 
 class TestFixedPoints:
@@ -249,6 +284,28 @@ class TestEvolve:
         with pytest.raises(NonUniqueFixedPointError) as excinfo:
             evolve(ix, proj(KET0))
         assert excinfo.value.result.fixed_space_dim == 4
+
+    def test_builds_superoperator_once(self, monkeypatch, rng):
+        calls = []
+        original = deutsch.induced_map
+
+        def counting(ix, rho_in):
+            calls.append(1)
+            return original(ix, rho_in)
+
+        monkeypatch.setattr(deutsch, "induced_map", counting)
+        evolve(random_interaction(rng, 2, 3), DensityMatrix(random_density(rng, 2)))
+        assert len(calls) == 1
+
+    def test_matches_output_state(self, rng):
+        for d_sys, d_ctc in ((2, 3), (3, 2), (4, 4)):
+            ix = random_interaction(rng, d_sys, d_ctc)
+            rho_in = DensityMatrix(random_density(rng, d_sys))
+            out, fp = evolve(ix, rho_in)
+            np.testing.assert_allclose(
+                out.matrix, output_state(ix, rho_in, fp.representative).matrix,
+                rtol=0, atol=1e-12,
+            )
 
 
 class TestCesaroIterate:
