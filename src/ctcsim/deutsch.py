@@ -29,7 +29,6 @@ from .qlinalg import (
     dagger,
     is_unitary,
     partial_trace,
-    swap_gate,
     tensor,
     trace_distance,
 )
@@ -130,9 +129,12 @@ def swap_then_control(dim: int, family: list[np.ndarray]) -> DeutschInteraction:
     """Interaction that swaps system and CTC, then applies the controlled family.
 
     This is the canonical distinguisher circuit shape: V = C(U_0..U_{d-1}) * SWAP
-    with equal system and CTC dimensions.
+    with equal system and CTC dimensions. Right-multiplying by SWAP only
+    permutes columns, (C SWAP)[:, i*dim + j] = C[:, j*dim + i], so V is built
+    by that permutation rather than by a dense product.
     """
-    v = controlled_family(dim, family) @ swap_gate(dim)
+    n = dim * dim
+    v = controlled_family(dim, family).reshape(n, dim, dim).transpose(0, 2, 1).reshape(n, n)
     return DeutschInteraction(d_sys=dim, d_ctc=dim, V=v)
 
 

@@ -8,10 +8,13 @@ run through the self-consistency engine maps every |psi_j> to the basis ket
   condition 1:  U_k |psi_k> = |k>            (self-consistency of |k><k|)
   condition 2:  <j| U_k |psi_j> != 0 for all j, k   (uniqueness)
 
-Each U_k = sum_m |c_m><b_m| is assembled from two orthonormal bases built by
-Gram-Schmidt sweeps over the state set: the input basis (b) follows the
-states, while the output basis (c) takes uniform superpositions of the basis
-kets indexed by each group of states swallowed by the growing span.
+Each U_k = sum_m |c_m><b_m| is assembled from two orthonormal bases grown
+over the state set, held as the columns of matrices B and C. Each step adds
+to the input basis B the next unused state's residual against B, then
+projects every unused state onto the complement of the grown B at once; the
+states whose residuals vanish (to the span tolerance) form the step's group.
+The output basis C takes the uniform superposition of the basis kets indexed
+by each group.
 """
 
 from __future__ import annotations
@@ -122,14 +125,15 @@ def validate_state_set(
             f"state count {len(raw)} must equal the space dimension {dim}; "
             "pad with an ancilla to a larger dimension first"
         )
-    for i in range(len(raw)):
-        for j in range(i + 1, len(raw)):
-            overlap = abs(raw[i].overlap(raw[j]))
-            if overlap > 1.0 - distinct_tol:
-                raise ValueError(
-                    f"states {i} and {j} coincide up to phase "
-                    f"(overlap {overlap:.9f} > 1 - {distinct_tol})"
-                )
+    x = np.stack([st.vector for st in raw], axis=1)
+    overlaps = np.abs(x.conj().T @ x)
+    clashes = np.argwhere(np.triu(overlaps > 1.0 - distinct_tol, k=1))
+    if clashes.size:
+        i, j = clashes[0]
+        raise ValueError(
+            f"states {i} and {j} coincide up to phase "
+            f"(overlap {overlaps[i, j]:.9f} > 1 - {distinct_tol})"
+        )
     return StateSet(dim=dim, states=tuple(raw))
 
 
@@ -154,92 +158,80 @@ def pad_with_ancilla(
     return validate_state_set(padded, distinct_tol)
 
 
-def _orthonormalize_against(
-    v: np.ndarray, basis: list[np.ndarray]
-) -> tuple[np.ndarray, float]:
-    """Gram-Schmidt residual of v against an orthonormal basis.
+def _project_out(v: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Residual of v (a vector, or each column of a matrix) against the
+    orthonormal columns of `basis`."""
+    return v - basis @ (basis.conj().T @ v)
 
-    Two projection passes for numerical stability; the residual norm is
-    measured after the first pass (that is the quantity the span test uses)
-    and the normalization keeps whatever phase the subtraction produced.
+
+def _reorthonormalize(r: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Second projection pass of a first-pass residual, then normalization.
+
+    The second pass is for numerical stability; the normalization keeps
+    whatever phase the subtraction produced.
     """
-    r = v.copy()
-    for b in basis:
-        r -= b * (b.conj() @ v)
-    norm = float(np.linalg.norm(r))
-    for b in basis:
-        r -= b * (b.conj() @ r)
-    n2 = np.linalg.norm(r)
-    if n2 == 0:
-        return r, norm
-    return r / n2, norm
+    r = _project_out(r, basis)
+    return r / np.linalg.norm(r)
 
 
-def _residual_norm(v: np.ndarray, basis: list[np.ndarray]) -> float:
-    r = v.copy()
-    for b in basis:
-        r -= b * (b.conj() @ v)
-    return float(np.linalg.norm(r))
-
-
-def _complete_basis(vectors: list[np.ndarray], dim: int) -> list[np.ndarray]:
-    """Extend an orthonormal list to a full basis using standard kets."""
-    out = list(vectors)
-    for i in range(dim):
-        if len(out) == dim:
+def _complete_basis(basis: np.ndarray, rank: int) -> np.ndarray:
+    """Fill columns rank.. of a square matrix whose first `rank` columns are
+    orthonormal, taking in order each standard ket whose residual against
+    the columns so far exceeds 0.5 / sqrt(n)."""
+    n = basis.shape[0]
+    for i in range(n):
+        if rank == n:
             break
-        cand, norm = _orthonormalize_against(basis_ket(dim, i), out)
-        if norm > 0.5 / np.sqrt(dim):
-            out.append(cand)
-    if len(out) != dim:  # standard kets always suffice; defensive only
+        r = _project_out(basis_ket(n, i), basis[:, :rank])
+        if np.linalg.norm(r) > 0.5 / np.sqrt(n):
+            basis[:, rank] = _reorthonormalize(r, basis[:, :rank])
+            rank += 1
+    if rank != n:  # standard kets always suffice; defensive only
         raise ConstructionError("failed to complete orthonormal basis")
-    return out
+    return basis
 
 
 def _build_single_unitary(
-    vectors: list[np.ndarray], k: int, order: list[int], span_tol: float
+    x: np.ndarray, k: int, order: list[int], span_tol: float
 ) -> tuple[np.ndarray, ConstructionTrace]:
-    n = len(vectors)
-    used = [False] * n
-    b_basis = [vectors[k].copy()]
-    c_basis = [basis_ket(n, k)]
+    """One sweep for target k over the states held as the columns of x.
+
+    `resid` always holds the residuals of the unused states, in `order`,
+    against the input basis grown so far; its first column is the next
+    pick's first-pass residual.
+    """
+    n = x.shape[0]
+    b = np.zeros((n, n), dtype=complex)
+    c = np.zeros((n, n), dtype=complex)
+    b[:, 0] = x[:, k]
+    c[k, 0] = 1.0
     groups: list[tuple[int, tuple[int, ...], int]] = [(1, (k,), 1)]
-    used[k] = True
-    step = 1
-    while not all(used):
-        step += 1
-        pick = next(i for i in order if not used[i])
-        b_new, norm = _orthonormalize_against(vectors[pick], b_basis)
-        if norm <= span_tol:
+    unused = [i for i in order if i != k]
+    resid = _project_out(x[:, unused], b[:, :1])
+    rank = 1
+    while unused:
+        if np.linalg.norm(resid[:, 0]) <= span_tol:
             raise ConstructionError(
-                f"state {pick} lies in the current span but was not grouped; "
+                f"state {unused[0]} lies in the current span but was not grouped; "
                 "span_tol is inconsistent"
             )
-        b_basis.append(b_new)
-        members = []
-        for i in order:
-            if used[i]:
-                continue
-            if _residual_norm(vectors[i], b_basis) <= span_tol:
-                members.append(i)
-                used[i] = True
-        c_new = np.zeros(n, dtype=complex)
-        for i in members:
-            c_new[i] = 1.0
-        c_new /= np.sqrt(len(members))
-        c_basis.append(c_new)
-        groups.append((step, tuple(members), len(members)))
-    b_basis = _complete_basis(b_basis, n)
-    c_basis = _complete_basis(c_basis, n)
-    u = np.zeros((n, n), dtype=complex)
-    for b, c in zip(b_basis, c_basis):
-        u += np.outer(c, b.conj())
+        b[:, rank] = _reorthonormalize(resid[:, 0], b[:, :rank])
+        rank += 1
+        resid = _project_out(x[:, unused], b[:, :rank])
+        grouped = np.linalg.norm(resid, axis=0) <= span_tol
+        members = [i for i, g in zip(unused, grouped) if g]
+        c[members, rank - 1] = 1.0 / np.sqrt(len(members))
+        groups.append((rank, tuple(members), len(members)))
+        unused = [i for i, g in zip(unused, grouped) if not g]
+        resid = resid[:, ~grouped]
+    b = _complete_basis(b, rank)
+    c = _complete_basis(c, rank)
     trace = ConstructionTrace(
-        input_basis=tuple(PureState(b) for b in b_basis),
-        output_basis=tuple(PureState(c) for c in c_basis),
+        input_basis=tuple(PureState(col) for col in b.T),
+        output_basis=tuple(PureState(col) for col in c.T),
         groups=tuple(groups),
     )
-    return u, trace
+    return c @ b.conj().T, trace
 
 
 def construct_family(
@@ -249,11 +241,13 @@ def construct_family(
 ) -> UnitaryFamily:
     """Build the distinguishing unitaries for a validated state set.
 
-    For each target index k the sweep starts from b_1 = |psi_k>, c_1 = |k>,
-    then repeatedly Gram-Schmidts the next unused state (following `order`,
-    default as-given) into the input basis and groups every unused state
-    whose residual against the grown span is at most `span_tol` into a
-    uniform-superposition output vector. Both sufficiency conditions are
+    For each target index k the sweep starts from b_1 = |psi_k>, c_1 = |k>.
+    Each further step appends to the input basis the normalized residual of
+    the first unused state in `order` (default as-given) against the basis
+    so far, projects all unused states against the grown basis, and groups
+    those whose residual norm is at most `span_tol` into one
+    uniform-superposition output vector. Both bases are completed with
+    standard kets and U_k = C B^dag. Both sufficiency conditions are
     verified before returning.
     """
     n = s.dim
@@ -261,14 +255,9 @@ def construct_family(
         order = list(range(n))
     if sorted(order) != list(range(n)):
         raise ValueError("order must be a permutation of 0..N-1")
-    vectors = s.vectors()
-    unitaries = []
-    traces = []
-    for k in range(n):
-        u, trace = _build_single_unitary(vectors, k, order, span_tol)
-        unitaries.append(u)
-        traces.append(trace)
-    family = UnitaryFamily(dim=n, unitaries=tuple(unitaries), traces=tuple(traces))
+    x = np.stack(s.vectors(), axis=1)
+    unitaries, traces = zip(*(_build_single_unitary(x, k, order, span_tol) for k in range(n)))
+    family = UnitaryFamily(dim=n, unitaries=unitaries, traces=traces)
     report = verify_family(s, family)
     if report.cond1_residual > _COND1_TOL:
         raise ConstructionError(
@@ -291,14 +280,13 @@ def verify_family(s: StateSet, fam: UnitaryFamily) -> VerificationReport:
     """
     if fam.dim != s.dim:
         raise ValueError("family and state set dimensions differ")
-    n = s.dim
-    vectors = s.vectors()
+    x = np.stack(s.vectors(), axis=1)
     cond1 = 0.0
     floor = np.inf
     for k, u in enumerate(fam.unitaries):
-        cond1 = max(cond1, float(np.linalg.norm(u @ vectors[k] - basis_ket(n, k))))
-        for j in range(n):
-            floor = min(floor, abs(complex((u @ vectors[j])[j])))
+        ux = u @ x
+        cond1 = max(cond1, float(np.linalg.norm(ux[:, k] - basis_ket(s.dim, k))))
+        floor = min(floor, float(np.abs(np.diagonal(ux)).min()))
     return VerificationReport(floor_margin=float(floor), cond1_residual=cond1)
 
 

@@ -128,6 +128,12 @@ class TestSwapThenControl:
         ix = swap_then_control(4, family)
         assert ix.V.shape == (16, 16)
 
+    @pytest.mark.parametrize("d", [3, 5])
+    def test_equals_dense_product_with_swap(self, rng, d):
+        family = [random_unitary(rng, d) for _ in range(d)]
+        ix = swap_then_control(d, family)
+        np.testing.assert_array_equal(ix.V, controlled_family(d, family) @ swap_gate(d))
+
 
 class TestInducedMap:
     def test_swap_gives_constant_map(self, rng):

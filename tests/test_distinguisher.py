@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import haar_state_set
+from conftest import haar_state, haar_state_set
 from ctcsim.deutsch import fixed_points
 from ctcsim.distinguisher import (
+    DEFAULT_SPAN_TOL,
     ConstructionError,
+    StateSet,
     UnitaryFamily,
     build_distinguisher,
     classification_table,
@@ -35,6 +39,100 @@ def bb84_qubit_states() -> list[PureState]:
     return [ZERO, ONE, PLUS, MINUS]
 
 
+# Reference sweep: the vector-at-a-time Gram-Schmidt construction with a
+# residual rescan of every unused state after each step, kept to cross-check
+# the matrix form in ctcsim.distinguisher.
+
+
+def _orthonormalize_against(
+    v: np.ndarray, basis: list[np.ndarray]
+) -> tuple[np.ndarray, float]:
+    r = v.copy()
+    for b in basis:
+        r -= b * (b.conj() @ v)
+    norm = float(np.linalg.norm(r))
+    for b in basis:
+        r -= b * (b.conj() @ r)
+    n2 = np.linalg.norm(r)
+    if n2 == 0:
+        return r, norm
+    return r / n2, norm
+
+
+def _residual_norm(v: np.ndarray, basis: list[np.ndarray]) -> float:
+    r = v.copy()
+    for b in basis:
+        r -= b * (b.conj() @ v)
+    return float(np.linalg.norm(r))
+
+
+def _complete_basis(vectors: list[np.ndarray], dim: int) -> list[np.ndarray]:
+    out = list(vectors)
+    for i in range(dim):
+        if len(out) == dim:
+            break
+        cand, norm = _orthonormalize_against(basis_ket(dim, i), out)
+        if norm > 0.5 / np.sqrt(dim):
+            out.append(cand)
+    if len(out) != dim:
+        raise ConstructionError("failed to complete orthonormal basis")
+    return out
+
+
+def reference_sweep(
+    vectors: list[np.ndarray], k: int, order: list[int], span_tol: float
+) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray], list[tuple]]:
+    """Returns (U_k, input basis, output basis, groups) for target k."""
+    n = len(vectors)
+    used = [False] * n
+    b_basis = [vectors[k].copy()]
+    c_basis = [basis_ket(n, k)]
+    groups: list[tuple[int, tuple[int, ...], int]] = [(1, (k,), 1)]
+    used[k] = True
+    step = 1
+    while not all(used):
+        step += 1
+        pick = next(i for i in order if not used[i])
+        b_new, norm = _orthonormalize_against(vectors[pick], b_basis)
+        if norm <= span_tol:
+            raise ConstructionError(
+                f"state {pick} lies in the current span but was not grouped; "
+                "span_tol is inconsistent"
+            )
+        b_basis.append(b_new)
+        members = []
+        for i in order:
+            if used[i]:
+                continue
+            if _residual_norm(vectors[i], b_basis) <= span_tol:
+                members.append(i)
+                used[i] = True
+        c_new = np.zeros(n, dtype=complex)
+        for i in members:
+            c_new[i] = 1.0
+        c_new /= np.sqrt(len(members))
+        c_basis.append(c_new)
+        groups.append((step, tuple(members), len(members)))
+    b_basis = _complete_basis(b_basis, n)
+    c_basis = _complete_basis(c_basis, n)
+    u = np.zeros((n, n), dtype=complex)
+    for b, c in zip(b_basis, c_basis):
+        u += np.outer(c, b.conj())
+    return u, b_basis, c_basis, groups
+
+
+def padded_haar_set(rng: np.random.Generator, d_state: int, factor: int) -> StateSet:
+    """d_state * factor Haar states in d_state dimensions, padded with an
+    ancilla to a valid set; redrawn until pairwise distinct."""
+    n = d_state * factor
+    for _ in range(50):
+        try:
+            return pad_with_ancilla([haar_state(rng, d_state) for _ in range(n)], n)
+        except ValueError:
+            continue
+    raise RuntimeError("could not draw a distinct state set")
+
+
 class TestValidateStateSet:
     def test_two_state_instance(self):
         s = validate_state_set([ZERO, MINUS])
@@ -52,6 +150,12 @@ class TestValidateStateSet:
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="empty"):
             validate_state_set([])
+
+    def test_names_the_coinciding_pair(self):
+        dup = PureState(-basis_ket(3, 1))
+        states = [PureState(basis_ket(3, 0)), PureState(basis_ket(3, 1)), dup]
+        with pytest.raises(ValueError, match="states 1 and 2 coincide"):
+            validate_state_set(states)
 
 
 class TestPadWithAncilla:
@@ -132,6 +236,29 @@ class TestConstructFamily:
         s = validate_state_set([ZERO, MINUS])
         with pytest.raises(ValueError, match="permutation"):
             construct_family(s, order=[0, 0])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        # (state dim, padding factor): factor 1 is a Haar set in full span,
+        # larger factors pad qubit or qutrit states into degenerate spans
+        shape=st.sampled_from([(n, 1) for n in range(2, 9)] + [(2, 2), (2, 3), (2, 4), (3, 2)]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_reference_sweep(self, shape, seed):
+        rng = np.random.default_rng(seed)
+        s = padded_haar_set(rng, *shape)
+        order = [int(i) for i in rng.permutation(s.dim)]
+        fam = construct_family(s, order=order)
+        for k, (u, trace) in enumerate(zip(fam.unitaries, fam.traces)):
+            ref_u, ref_b, ref_c, ref_groups = reference_sweep(
+                s.vectors(), k, order, DEFAULT_SPAN_TOL
+            )
+            assert trace.groups == tuple(ref_groups)
+            for got, want in ((trace.input_basis, ref_b), (trace.output_basis, ref_c)):
+                np.testing.assert_allclose(
+                    np.array([p.vector for p in got]), np.array(want), rtol=0, atol=1e-12
+                )
+            np.testing.assert_allclose(u, ref_u, rtol=0, atol=1e-12)
 
 
 class TestVerifyFamily:
