@@ -404,12 +404,14 @@ def cesaro_iterate(
 ) -> DensityMatrix:
     """Tail average of repeated map applications, starting from I/d.
 
-    Applies the induced superoperator M to I/d ``iters`` = T times and
-    returns the mean of the last ceil(T/2) iterates,
-    (1/ceil(T/2)) sum_{t=floor(T/2)+1..T} M^t(I/d); ``iters = 1`` returns
-    the last (and only) iterate M(I/d) alone. Serves as an iteration-based
-    oracle independent of the SVD nullspace route: it uses nothing but T
-    applications of M, no SVD and no eigensolve.
+    Returns the mean of the last ceil(T/2) of the iterates M^t(I/d),
+    t = 1..T with T = ``iters``: (1/ceil(T/2)) sum_{t=floor(T/2)+1..T}
+    M^t(I/d); ``iters = 1`` returns the last (and only) iterate M(I/d)
+    alone. The burn-in applies M^floor(T/2), formed by repeated squaring of
+    the induced superoperator, to I/d in one product; the tail then applies
+    M ceil(T/2) times, one iterate at a time. Serves as an iteration-based
+    oracle independent of the SVD nullspace route: it uses nothing but
+    powers and applications of M, no SVD and no eigensolve.
 
     Discarding the first half removes the transient that a mean from t = 1
     carries, of order 1/(T * gap). The error of the tail average is
@@ -430,8 +432,7 @@ def cesaro_iterate(
     s = induced_map(ix, rho_in)
     v = (np.eye(d, dtype=complex) / d).reshape(-1)
     burn_in = iters // 2
-    for _ in range(burn_in):
-        v = s @ v
+    v = np.linalg.matrix_power(s, burn_in) @ v
     acc = np.zeros_like(v)
     for _ in range(iters - burn_in):
         v = s @ v

@@ -88,15 +88,10 @@ def _pure_vector(rho: DensityMatrix) -> PureState:
 
 def _mutual_information_bits(joint: np.ndarray) -> float:
     """I(J;L) from a joint probability table (rows: source, cols: label)."""
-    p_j = joint.sum(axis=1)
-    p_l = joint.sum(axis=0)
-    total = 0.0
-    for j in range(joint.shape[0]):
-        for l in range(joint.shape[1]):
-            p = joint[j, l]
-            if p > 0:
-                total += p * np.log2(p / (p_j[j] * p_l[l]))
-    return float(total)
+    product = np.outer(joint.sum(axis=1), joint.sum(axis=0))
+    mask = joint > 0
+    p = joint[mask]
+    return float(np.sum(p * np.log2(p / product[mask])))
 
 
 def ctc_accessible_info(

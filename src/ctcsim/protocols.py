@@ -189,14 +189,15 @@ def bb84_demo(fp_tol: float = 1e-9) -> dict:
     return {"circuit": "two-qubit swap + four controlled unitaries", "classifications": rows}
 
 
-def _born_probability_one(state: np.ndarray, basis: int) -> float:
-    """Probability of outcome 1 when measuring a qubit in Z (0) or X (1)."""
-    target = basis_ket(2, 1) if basis == 0 else minus_ket()
-    return float(abs(target.conj() @ state) ** 2)
+def _outcome_one_table(kets: list[np.ndarray]) -> np.ndarray:
+    """P[ket, basis]: probability of outcome 1 when measuring each qubit ket
+    in Z (basis 0) or X (basis 1)."""
+    targets = np.stack([basis_ket(2, 1), minus_ket()])
+    return np.abs(np.stack(kets) @ targets.conj().T) ** 2
 
 
-def _ctc_labeler(protocol: QkdProtocol) -> dict[int, int]:
-    """Per-signal-state classification labels through the CTC distinguisher.
+def _ctc_labeler(protocol: QkdProtocol) -> np.ndarray:
+    """Classification label of each signal state through the CTC distinguisher.
 
     Classification is deterministic, so each of the protocol's signal states
     is pushed through the engine once and the labels are reused per round.
@@ -206,13 +207,13 @@ def _ctc_labeler(protocol: QkdProtocol) -> dict[int, int]:
         ix, s = b92_interaction()
     else:
         ix, s = bb84_interaction()
-    labels = {}
+    labels = []
     for j in range(len(protocol.signal_states)):
         label, prob, fp = classify(ix, s, j)
         if label != j or not fp.unique:
             raise RuntimeError("CTC eavesdropper failed to classify a signal state")
-        labels[j] = label
-    return labels
+        labels.append(label)
+    return np.array(labels)
 
 
 def run_qkd(
@@ -227,89 +228,69 @@ def run_qkd(
     Alice draws uniform random signal choices, Eve applies her strategy, and
     Bob measures in a uniformly random basis (BB84 sifts on basis match; B92
     keeps conclusive exclusion outcomes). Outcomes are sampled from exact
-    Born probabilities. Fully reproducible from ``seed``; an optional JSON
-    lines transcript records every round.
+    Born probabilities, each choice drawn for the whole session as one
+    array. Fully reproducible from ``seed``; an optional JSON lines
+    transcript records every round.
     """
     if n_signals < 1:
         raise ValueError("n_signals must be at least 1")
     if eve not in EVE_STRATEGIES:
         raise ValueError(f"unknown eavesdropper strategy {eve!r}")
     rng = np.random.default_rng(seed)
-    eve_labels = _ctc_labeler(protocol) if eve == "ctc" else None
+    bb84 = protocol.name == "BB84"
+    # encode[basis, bit] is the signal state Alice prepares, bit_of the inverse
+    bases = (0, 1) if bb84 else (None,)
+    encode = np.array([[protocol.state_index(bit, basis) for bit in (0, 1)] for basis in bases])
+    bit_of = np.empty(len(protocol.signal_states), dtype=int)
+    bit_of[encode] = (0, 1)
+    # flying signals index the signal states, then |0> and |1> resent by Eve
+    kets = [s.vector for s in protocol.signal_states] + [basis_ket(2, 0), basis_ket(2, 1)]
+    p_one = _outcome_one_table(kets)
 
-    records = []
-    sifted = 0
-    errors = 0
-    eve_known = 0
-    for index in range(n_signals):
-        alice_bit = int(rng.integers(2))
-        if protocol.name == "BB84":
-            alice_basis: int | None = int(rng.integers(2))
-        else:
-            alice_basis = None
-        state_idx = protocol.state_index(alice_bit, alice_basis)
-        flying = protocol.signal_states[state_idx].vector
+    alice_bit = rng.integers(2, size=n_signals)
+    alice_basis = rng.integers(2, size=n_signals) if bb84 else None
+    flying = encode[0 if alice_basis is None else alice_basis, alice_bit]
+    eve_label = eve_bit = None
+    if eve == "ctc":
+        eve_label = _ctc_labeler(protocol)[flying]
+        eve_bit = bit_of[eve_label]
+        flying = eve_label
+    elif eve == "intercept_resend_z":
+        eve_label = eve_bit = (rng.random(n_signals) < p_one[flying, 0]).astype(int)
+        flying = len(protocol.signal_states) + eve_label
 
-        eve_label: int | None = None
-        eve_bit: int | None = None
-        if eve == "ctc":
-            assert eve_labels is not None
-            eve_label = eve_labels[state_idx]
-            flying = protocol.signal_states[eve_label].vector
-            if protocol.name == "BB84":
-                eve_bit = eve_label % 2
-            else:
-                eve_bit = eve_label
-        elif eve == "intercept_resend_z":
-            p1 = _born_probability_one(flying, basis=0)
-            outcome = int(rng.random() < p1)
-            eve_label = outcome
-            eve_bit = outcome
-            flying = basis_ket(2, outcome)
-
-        bob_basis = int(rng.integers(2))
-        p1 = _born_probability_one(flying, basis=bob_basis)
-        bob_outcome = int(rng.random() < p1)
-
-        if protocol.name == "BB84":
-            is_sifted = bob_basis == alice_basis
-            bob_bit = bob_outcome
-        else:
-            # Exclusion decoding: Z-outcome 1 rules out |0> (bit 1);
-            # X-outcome 0 (the |+> result) rules out |-> (bit 0).
-            if bob_basis == 0 and bob_outcome == 1:
-                is_sifted, bob_bit = True, 1
-            elif bob_basis == 1 and bob_outcome == 0:
-                is_sifted, bob_bit = True, 0
-            else:
-                is_sifted, bob_bit = False, None
-
-        is_error = bool(is_sifted and bob_bit != alice_bit)
-        if is_sifted:
-            sifted += 1
-            errors += int(is_error)
-            if eve_bit is not None and eve_bit == alice_bit:
-                eve_known += 1
-        records.append(
-            {
-                "index": index,
-                "alice_bit": alice_bit,
-                "alice_basis": None if alice_basis is None else ("Z", "X")[alice_basis],
-                "eve_label": eve_label,
-                "bob_basis": ("Z", "X")[bob_basis],
-                "bob_outcome": bob_outcome,
-                "sifted": is_sifted,
-                "error": is_error,
-            }
-        )
+    bob_basis = rng.integers(2, size=n_signals)
+    bob_outcome = (rng.random(n_signals) < p_one[flying, bob_basis]).astype(int)
+    if bb84:
+        sifted = bob_basis == alice_basis
+    else:
+        # Exclusion decoding: Z-outcome 1 rules out |0> (bit 1);
+        # X-outcome 0 (the |+> result) rules out |-> (bit 0).
+        sifted = bob_outcome != bob_basis
+    # In both protocols Bob's bit is his outcome.
+    error = sifted & (bob_outcome != alice_bit)
 
     if transcript_path is not None:
+        names, nothing = np.array(["Z", "X"]), [None] * n_signals
+        columns = {
+            "index": range(n_signals),
+            "alice_bit": alice_bit.tolist(),
+            "alice_basis": nothing if alice_basis is None else names[alice_basis].tolist(),
+            "eve_label": nothing if eve_label is None else eve_label.tolist(),
+            "bob_basis": names[bob_basis].tolist(),
+            "bob_outcome": bob_outcome.tolist(),
+            "sifted": sifted.tolist(),
+            "error": error.tolist(),
+        }
         with open(transcript_path, "w", encoding="utf-8") as fh:
-            for rec in records:
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
+            for values in zip(*columns.values()):
+                fh.write(json.dumps(dict(zip(columns, values)), sort_keys=True) + "\n")
 
-    qber = errors / sifted if sifted else None
-    eve_info = eve_known / sifted if sifted else 0.0
+    n_sifted = int(sifted.sum())
+    errors = int(error.sum())
+    eve_known = 0 if eve_bit is None else int((sifted & (eve_bit == alice_bit)).sum())
+    qber = errors / n_sifted if n_sifted else None
+    eve_info = eve_known / n_sifted if n_sifted else 0.0
     return SessionStats(
-        signals_sent=n_signals, sifted=sifted, qber=qber, eve_info=eve_info, seed=seed
+        signals_sent=n_signals, sifted=n_sifted, qber=qber, eve_info=eve_info, seed=seed
     )

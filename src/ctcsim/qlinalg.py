@@ -48,11 +48,9 @@ def minus_ket() -> np.ndarray:
 
 def swap_gate(dim: int) -> np.ndarray:
     """Unitary exchanging two `dim`-dimensional systems: SWAP|i,j> = |j,i>."""
-    s = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for i in range(dim):
-        for j in range(dim):
-            s[j * dim + i, i * dim + j] = 1.0
-    return s
+    n = dim * dim
+    eye = np.eye(n, dtype=complex).reshape(dim, dim, dim, dim)
+    return eye.transpose(1, 0, 2, 3).reshape(n, n)
 
 
 def dagger(m: np.ndarray) -> np.ndarray:

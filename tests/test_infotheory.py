@@ -4,6 +4,7 @@ import pytest
 from conftest import haar_state, random_unitary
 from ctcsim.infotheory import (
     Ensemble,
+    _mutual_information_bits,
     ctc_accessible_info,
     holevo_chi,
     violation_report,
@@ -137,6 +138,24 @@ class TestAccessibleInfo:
     def test_size_mismatch(self):
         with pytest.raises(ValueError, match="ensemble size"):
             ctc_accessible_info(uniform_bb84(), 8)
+
+
+def binary_entropy(p: float) -> float:
+    return 0.0 if p in (0.0, 1.0) else float(-p * np.log2(p) - (1 - p) * np.log2(1 - p))
+
+
+class TestMutualInformation:
+    @pytest.mark.parametrize("p", [0.0, 0.1, 0.25, 0.4, 0.5])
+    def test_binary_symmetric_channel(self, p):
+        joint = np.array([[(1 - p) / 2, p / 2], [p / 2, (1 - p) / 2]])
+        assert _mutual_information_bits(joint) == pytest.approx(1 - binary_entropy(p), abs=1e-12)
+
+    def test_zero_entries_give_finite_value(self):
+        # source 0 always labelled 0, source 1 labelled uniformly: h(1/4) - 1/2
+        joint = np.array([[0.5, 0.0], [0.25, 0.25]])
+        value = _mutual_information_bits(joint)
+        assert np.isfinite(value)
+        assert value == pytest.approx(binary_entropy(0.25) - 0.5, abs=1e-12)
 
 
 class TestEnsembleValidation:

@@ -151,3 +151,92 @@ class TestRunQkd:
         d = stats.to_dict()
         assert d["qber_undefined"] is False
         assert d["seed"] == 9
+
+
+SESSIONS = [
+    pytest.param(make, eve, id=f"{make().name}-{eve}")
+    for make in (bb84_protocol, b92_protocol)
+    for eve in EVE_STRATEGIES
+]
+
+# closed-form (sifted fraction, QBER, eve_info) of each protocol and eavesdropper
+EXPECTED_RATES = {
+    ("BB84", "none"): (1 / 2, 0.0, 0.0),
+    ("BB84", "ctc"): (1 / 2, 0.0, 1.0),
+    ("BB84", "intercept_resend_z"): (1 / 2, 1 / 4, 3 / 4),
+    ("B92", "none"): (1 / 4, 0.0, 0.0),
+    ("B92", "ctc"): (1 / 4, 0.0, 1.0),
+    ("B92", "intercept_resend_z"): (3 / 8, 1 / 3, 5 / 6),
+}
+
+
+def assert_rate(observed: float, p: float, n: int) -> None:
+    """Exact for a certain event, else within six binomial sigmas."""
+    if p in (0.0, 1.0):
+        assert observed == p
+    else:
+        assert abs(observed - p) <= 6 * np.sqrt(p * (1 - p) / n)
+
+
+class TestWholeSession:
+    @pytest.mark.parametrize("make_protocol, eve", SESSIONS)
+    def test_transcript_leaves_stats_unchanged(self, make_protocol, eve, tmp_path):
+        protocol = make_protocol()
+        quiet = run_qkd(protocol, 3000, eve, 2024)
+        logged = run_qkd(protocol, 3000, eve, 2024, transcript_path=tmp_path / "t.jsonl")
+        assert quiet == logged
+
+    @pytest.mark.parametrize("make_protocol, eve", SESSIONS)
+    def test_records_obey_deterministic_physics(self, make_protocol, eve, tmp_path):
+        protocol = make_protocol()
+        path = tmp_path / "t.jsonl"
+        stats = run_qkd(protocol, 2000, eve, 31, transcript_path=path)
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [rec["index"] for rec in records] == list(range(2000))
+        errors = eve_known = 0
+        for rec in records:
+            bit, outcome, label = rec["alice_bit"], rec["bob_outcome"], rec["eve_label"]
+            bob_z = rec["bob_basis"] == "Z"
+            if protocol.name == "BB84":
+                alice_z = rec["alice_basis"] == "Z"
+                prepared = protocol.state_index(bit, 0 if alice_z else 1)
+                sifted = rec["bob_basis"] == rec["alice_basis"]
+            else:
+                assert rec["alice_basis"] is None
+                alice_z = bit == 0  # B92 sends |0> for 0 and |-> for 1
+                prepared = protocol.state_index(bit, None)
+                sifted = outcome == (1 if bob_z else 0)
+            assert rec["sifted"] == sifted
+            assert rec["error"] == (sifted and outcome != bit)
+            if eve == "intercept_resend_z":
+                # Eve reads a Z eigenstate faithfully and resends her result
+                assert label in (0, 1)
+                if alice_z:
+                    assert label == bit
+                if bob_z:
+                    assert outcome == label
+                eve_known += sifted and label == bit
+            else:
+                # Bob receives Alice's own state
+                assert label == (prepared if eve == "ctc" else None)
+                if protocol.name == "BB84" and sifted:
+                    assert outcome == bit
+                if protocol.name == "B92" and alice_z and bob_z:
+                    assert outcome == 0
+                if protocol.name == "B92" and not alice_z and not bob_z:
+                    assert outcome == 1
+                eve_known += sifted and eve == "ctc"
+            errors += rec["error"]
+        assert stats.sifted == sum(rec["sifted"] for rec in records)
+        assert stats.qber == errors / stats.sifted
+        assert stats.eve_info == eve_known / stats.sifted
+
+    @pytest.mark.parametrize("make_protocol, eve", SESSIONS)
+    def test_closed_form_rates(self, make_protocol, eve):
+        protocol = make_protocol()
+        n = 100_000
+        stats = run_qkd(protocol, n, eve, 101)
+        sift, qber, eve_info = EXPECTED_RATES[(protocol.name, eve)]
+        assert_rate(stats.sifted / n, sift, n)
+        assert_rate(stats.qber, qber, stats.sifted)
+        assert_rate(stats.eve_info, eve_info, stats.sifted)
