@@ -7,12 +7,23 @@ system (x) CTC. The CTC state must equal its own post-interaction reduction,
     rho_ctc = Tr_sys[ V (rho_in (x) rho_ctc) V^dag ],
 
 which makes rho_ctc a fixed point of the completely positive trace-preserving
-map induced on the CTC factor by the chosen input. This module builds such
-interactions, represents the induced map as a superoperator matrix acting on
-row-major vectorized operators, solves the fixed-point condition exactly via
-an SVD nullspace, certifies uniqueness, and evaluates the output state
+map induced on the CTC factor by the chosen input. The output state is
 
     rho_out = Tr_ctc[ V (rho_in (x) rho_ctc) V^dag ].
+
+The fixed-point condition is solved by one of two routes, chosen by the shape
+of the interaction:
+
+  - the SVD route, for any interaction: the induced map as a superoperator
+    matrix S on row-major vectorized operators, its fixed space as the SVD
+    nullspace of S - I, and uniqueness certified by that nullspace's
+    dimension;
+  - the Markov route, for the swap-then-control circuit of a controlled
+    family {U_k}: its map M(rho) = sum_k rho_kk U_k rho_in U_k^dag depends
+    only on the diagonal of rho, so the fixed points are
+    rho = sum_k p_k U_k rho_in U_k^dag with p stationary for a d-state
+    column-stochastic matrix. Chains whose fixed space is not
+    one-dimensional go to the SVD route.
 
 The composite map rho_in -> rho_out is nonlinear in rho_in because rho_ctc
 itself depends on rho_in.
@@ -60,22 +71,41 @@ class NonUniqueFixedPointError(RuntimeError):
         self.result = result
 
 
-@dataclass(frozen=True)
 class DeutschInteraction:
     """Unitary interaction between a system and a CTC factor.
 
     The joint space is ordered system first, CTC second, so V acts on
-    C^(d_sys) (x) C^(d_ctc).
+    C^(d_sys) (x) C^(d_ctc). An interaction is given either by its dense
+    matrix V or, for the swap-then-control circuit (see
+    ``swap_then_control``), by its controlled family alone: ``family`` is
+    then the read-only (d, d, d) array of the unitaries U_k, and V is formed
+    on first access and kept. Instances are immutable.
     """
 
-    d_sys: int
-    d_ctc: int
-    V: np.ndarray
+    def __init__(
+        self,
+        d_sys: int,
+        d_ctc: int,
+        V: np.ndarray | None = None,
+        *,
+        family: list[np.ndarray] | np.ndarray | None = None,
+    ) -> None:
+        vars(self).update(d_sys=d_sys, d_ctc=d_ctc, _V=V, family=family)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
+        """Validate and freeze the dense V or the family; every construction
+        passes through here."""
         if self.d_sys < 1 or self.d_ctc < 1:
             raise ValueError("subsystem dimensions must be positive")
-        v = np.asarray(self.V, dtype=complex)
+        if (self._V is None) == (self.family is None):
+            raise ValueError("give exactly one of V and family")
+        if self.family is not None:
+            if self.d_sys != self.d_ctc:
+                raise ValueError("a controlled family needs d_sys == d_ctc")
+            object.__setattr__(self, "family", _family_array(self.d_ctc, self.family))
+            return
+        v = np.asarray(self._V, dtype=complex)
         n = self.d_sys * self.d_ctc
         if v.shape != (n, n):
             raise ValueError(f"V has shape {v.shape}, expected ({n}, {n})")
@@ -83,7 +113,22 @@ class DeutschInteraction:
             raise ValueError("V is not unitary within 1e-10")
         v = v.copy()
         v.setflags(write=False)
-        object.__setattr__(self, "V", v)
+        object.__setattr__(self, "_V", v)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"DeutschInteraction is immutable; cannot set {name!r}")
+
+    @property
+    def V(self) -> np.ndarray:
+        """The dense unitary, read-only. For a family it is C(U_0..U_{d-1}) SWAP,
+        built on first access: right-multiplying by SWAP only permutes
+        columns, (C SWAP)[:, i*d + j] = C[:, j*d + i]."""
+        if self._V is None:
+            d, n = self.d_ctc, self.d_ctc**2
+            v = _block_diagonal(self.family).reshape(n, d, d).transpose(0, 2, 1).reshape(n, n)
+            v.setflags(write=False)
+            object.__setattr__(self, "_V", v)
+        return self._V
 
 
 @dataclass(frozen=True)
@@ -95,7 +140,8 @@ class FixedPointResult:
     matrix inside it (always found for a well-formed channel). ``residual``
     is the max-entry self-consistency defect of the representative, and
     ``spectrum_gap`` = 1 - |second largest superoperator eigenvalue| is a
-    convergence diagnostic for iterative cross-checks.
+    convergence diagnostic for iterative cross-checks. ``solver`` names the
+    route that produced the result: "markov" or "svd".
     """
 
     fixed_space_dim: int
@@ -104,6 +150,32 @@ class FixedPointResult:
     spectrum_gap: float
     representative: DensityMatrix | None
     basis: list[np.ndarray] = field(default_factory=list)
+    solver: str = "svd"
+
+
+def _family_array(dim: int, family) -> np.ndarray:
+    """The family as one read-only (dim, dim, dim) array, after checking the
+    count and the shape and unitarity of every member."""
+    if len(family) != dim:
+        raise ValueError(f"need exactly {dim} unitaries, got {len(family)}")
+    us = np.empty((dim, dim, dim), dtype=complex)
+    for k, u in enumerate(family):
+        u = np.asarray(u, dtype=complex)
+        if u.shape != (dim, dim):
+            raise ValueError(f"family member {k} has shape {u.shape}, expected ({dim}, {dim})")
+        if not is_unitary(u, _UNITARY_TOL):
+            raise ValueError(f"family member {k} is not unitary")
+        us[k] = u
+    us.setflags(write=False)
+    return us
+
+
+def _block_diagonal(us: np.ndarray) -> np.ndarray:
+    d = us.shape[0]
+    v = np.zeros((d, d, d, d), dtype=complex)
+    k = np.arange(d)
+    v[k, :, k, :] = us
+    return v.reshape(d * d, d * d)
 
 
 def controlled_family(dim: int, family: list[np.ndarray]) -> np.ndarray:
@@ -112,30 +184,24 @@ def controlled_family(dim: int, family: list[np.ndarray]) -> np.ndarray:
     The control is the first (most significant) factor, so the result is
     literally block diagonal with blocks U_0 .. U_{dim-1}.
     """
-    if len(family) != dim:
-        raise ValueError(f"need exactly {dim} unitaries, got {len(family)}")
-    v = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for k, u in enumerate(family):
-        u = np.asarray(u, dtype=complex)
-        if u.shape != (dim, dim):
-            raise ValueError(f"family member {k} has shape {u.shape}, expected ({dim}, {dim})")
-        if not is_unitary(u, _UNITARY_TOL):
-            raise ValueError(f"family member {k} is not unitary")
-        v[k * dim : (k + 1) * dim, k * dim : (k + 1) * dim] = u
-    return v
+    return _block_diagonal(_family_array(dim, family))
 
 
 def swap_then_control(dim: int, family: list[np.ndarray]) -> DeutschInteraction:
     """Interaction that swaps system and CTC, then applies the controlled family.
 
     This is the canonical distinguisher circuit shape: V = C(U_0..U_{d-1}) * SWAP
-    with equal system and CTC dimensions. Right-multiplying by SWAP only
-    permutes columns, (C SWAP)[:, i*dim + j] = C[:, j*dim + i], so V is built
-    by that permutation rather than by a dense product.
+    with equal system and CTC dimensions. The interaction carries the family
+    itself, each member checked for unitarity once; V is built only when
+    something asks for it, which the fixed-point solver does only for a
+    chain without a unique fixed point.
     """
-    n = dim * dim
-    v = controlled_family(dim, family).reshape(n, dim, dim).transpose(0, 2, 1).reshape(n, n)
-    return DeutschInteraction(d_sys=dim, d_ctc=dim, V=v)
+    return DeutschInteraction(dim, dim, family=family)
+
+
+def _check_input_dim(ix: DeutschInteraction, rho_in: DensityMatrix) -> None:
+    if rho_in.dim != ix.d_sys:
+        raise ValueError(f"input dim {rho_in.dim} does not match system dim {ix.d_sys}")
 
 
 def induced_map(ix: DeutschInteraction, rho_in: DensityMatrix) -> np.ndarray:
@@ -152,8 +218,7 @@ def induced_map(ix: DeutschInteraction, rho_in: DensityMatrix) -> np.ndarray:
     where applying the map to each of the d_ctc^2 matrix units costs
     O(d_sys^3 d_ctc^5).
     """
-    if rho_in.dim != ix.d_sys:
-        raise ValueError(f"input dim {rho_in.dim} does not match system dim {ix.d_sys}")
+    _check_input_dim(ix, rho_in)
     d_s, d = ix.d_sys, ix.d_ctc
     v = ix.V.reshape(d_s, d, d_s, d)
     w = np.einsum("scti,tu->scui", v, rho_in.matrix, optimize=True)
@@ -236,11 +301,52 @@ def _density_representative(
 
 
 def _spectrum_gap(s: np.ndarray) -> float:
-    # Diagnostic only; the nullspace itself always comes from the SVD.
+    # Diagnostic only; the fixed space itself always comes from an SVD.
     moduli = np.sort(np.abs(np.linalg.eigvals(s)))[::-1]
     if moduli.size < 2:
         return 1.0
     return float(1.0 - moduli[1])
+
+
+def _markov_fixed_points(
+    us: np.ndarray, rho_in: DensityMatrix, fp_tol: float
+) -> FixedPointResult | None:
+    """Fixed point of the swap-then-control map from its d-state chain.
+
+    With W_k = U_k rho_in U_k^dag the map is M(rho) = sum_k rho_kk W_k, so
+    rho is fixed iff rho = sum_k p_k W_k with A p = p, where
+    A_mk = (W_k)_mm is column stochastic. The fixed spaces of M and of A
+    have the same dimension, decided by the same SVD rule as for S; the
+    nonzero eigenvalues of S are those of A, so the spectrum gap is read
+    from A. Returns None unless that dimension is one.
+    """
+    w = us @ rho_in.matrix @ us.conj().transpose(0, 2, 1)
+    # A is real but held as complex: the SVD and eigensolve then run the same
+    # complex LAPACK routines as every other solve, where the real ones would
+    # page in about 0.5 MB more of the library.
+    a = np.diagonal(w, axis1=1, axis2=2).real.T.astype(complex)
+    right, _left, _sigma_max = _nullspace_of_shifted(a, fp_tol)
+    if right.shape[1] != 1:
+        return None
+    p = (right[:, 0] / right[:, 0].sum()).real
+    b = np.tensordot(p, w, axes=1)
+    representative = _clip_to_density(b)
+    if representative is None:
+        raise FixedPointSolverError(
+            "stationary vector of the CTC chain gives no density matrix "
+            "within the eigenvalue-clip tolerance; numerical failure"
+        )
+    rho = representative.matrix
+    residual = float(np.abs(np.tensordot(np.diagonal(rho), w, axes=1) - rho).max())
+    return FixedPointResult(
+        fixed_space_dim=1,
+        unique=True,
+        residual=residual,
+        spectrum_gap=_spectrum_gap(a),
+        representative=representative,
+        basis=[b / np.linalg.norm(b)],
+        solver="markov",
+    )
 
 
 def fixed_points(
@@ -257,13 +363,25 @@ def fixed_points(
     a spanning operator basis, and a density-matrix representative are
     reported. ``unique`` is true iff the space is one-dimensional.
 
+    An interaction that carries its controlled family is first solved as a
+    d-state Markov chain (``solver`` "markov"), with the same zero rule
+    applied to A - I for its d x d chain matrix A; only when that chain's
+    fixed space is not one-dimensional does the SVD of S - I run
+    (``solver`` "svd"), which builds the interaction's V.
+
     ``select_max_entropy`` additionally replaces the representative of a
     non-unique space with the maximum-entropy fixed state (an optional
     selection rule layered on top of the bare self-consistency condition;
-    the ambiguity itself is still reported via ``unique``/``basis``).
+    the ambiguity itself is still reported via ``unique``/``basis``). A
+    non-unique space is always solved by the SVD route.
     """
     if fp_tol <= 0:
         raise ValueError("fp_tol must be positive")
+    if ix.family is not None:
+        _check_input_dim(ix, rho_in)
+        fp = _markov_fixed_points(ix.family, rho_in, fp_tol)
+        if fp is not None:
+            return fp
     d = ix.d_ctc
     s = induced_map(ix, rho_in)
     right, left, _sigma_max = _nullspace_of_shifted(s, fp_tol)
@@ -356,6 +474,17 @@ def _system_output(
     return DensityMatrix((out + out.conj().T) / 2.0)
 
 
+def _family_output(
+    us: np.ndarray, rho_in: DensityMatrix, rho_ctc: DensityMatrix
+) -> DensityMatrix:
+    """Tr_ctc of the swap-then-control joint state, without V:
+    rho_out[k, l] = rho_ctc[k, l] Tr(U_k rho_in U_l^dag)."""
+    d = us.shape[0]
+    overlaps = (us @ rho_in.matrix).reshape(d, -1) @ us.reshape(d, -1).conj().T
+    out = rho_ctc.matrix * overlaps
+    return DensityMatrix((out + out.conj().T) / 2.0)
+
+
 def _check_self_consistency(residual: float) -> None:
     if residual > SELF_CONSISTENCY_TOL:
         raise ValueError(
@@ -389,14 +518,33 @@ def evolve(
     raised ``NonUniqueFixedPointError`` carries the ``FixedPointResult`` so
     callers can inspect the ambiguity. The superoperator is built once: the
     self-consistency check that ``output_state`` makes is read from
-    ``fp.residual``, the same defect of the same map.
+    ``fp.residual``, the same defect of the same map. A fixed point found
+    by the Markov route gives its output from the family, without V.
     """
     fp = fixed_points(ix, rho_in, fp_tol)
     if not fp.unique:
         raise NonUniqueFixedPointError(fp)
     assert fp.representative is not None
     _check_self_consistency(fp.residual)
+    if fp.solver == "markov":
+        return _family_output(ix.family, rho_in, fp.representative), fp
     return _system_output(ix, rho_in, fp.representative), fp
+
+
+def _power_sum(s: np.ndarray, m: int) -> np.ndarray:
+    """G_m = sum_{i<m} S^i by binary doubling over the bits of m:
+    G_2k = G_k + S^k G_k and G_(k+1) = I + S G_k, with S^k carried along.
+    About 3 log2(m) matrix products, all of them powers of S."""
+    eye = np.eye(s.shape[0], dtype=s.dtype)
+    g = np.zeros_like(s)
+    p = eye
+    for bit in bin(m)[2:]:
+        g = g + p @ g
+        p = p @ p
+        if bit == "1":
+            g = eye + s @ g
+            p = s @ p
+    return g
 
 
 def cesaro_iterate(
@@ -407,11 +555,12 @@ def cesaro_iterate(
     Returns the mean of the last ceil(T/2) of the iterates M^t(I/d),
     t = 1..T with T = ``iters``: (1/ceil(T/2)) sum_{t=floor(T/2)+1..T}
     M^t(I/d); ``iters = 1`` returns the last (and only) iterate M(I/d)
-    alone. The burn-in applies M^floor(T/2), formed by repeated squaring of
-    the induced superoperator, to I/d in one product; the tail then applies
-    M ceil(T/2) times, one iterate at a time. Serves as an iteration-based
-    oracle independent of the SVD nullspace route: it uses nothing but
-    powers and applications of M, no SVD and no eigensolve.
+    alone. With b = floor(T/2) and m = ceil(T/2) that sum is
+    S^(b+1) G_m vec(I/d), where S is the induced superoperator and
+    G_m = sum_{i<m} S^i is formed by binary doubling; S^(b+1) is formed by
+    repeated squaring. Serves as an iteration-based oracle independent of
+    the SVD nullspace route: it uses nothing but powers of S, no SVD and no
+    eigensolve, and equals the one-iterate-at-a-time sum up to rounding.
 
     Discarding the first half removes the transient that a mean from t = 1
     carries, of order 1/(T * gap). The error of the tail average is
@@ -432,12 +581,9 @@ def cesaro_iterate(
     s = induced_map(ix, rho_in)
     v = (np.eye(d, dtype=complex) / d).reshape(-1)
     burn_in = iters // 2
-    v = np.linalg.matrix_power(s, burn_in) @ v
-    acc = np.zeros_like(v)
-    for _ in range(iters - burn_in):
-        v = s @ v
-        acc += v
-    avg = (acc / (iters - burn_in)).reshape(d, d)
+    tail = iters - burn_in
+    total = np.linalg.matrix_power(s, burn_in + 1) @ (_power_sum(s, tail) @ v)
+    avg = (total / tail).reshape(d, d)
     avg = (avg + avg.conj().T) / 2.0
     rho = _clip_to_density(avg)
     if rho is None:

@@ -14,7 +14,6 @@ from pathlib import Path
 import numpy as np
 
 from .deutsch import DeutschInteraction, FixedPointResult, swap_then_control
-from .distinguisher import StateSet, UnitaryFamily
 from .infotheory import Ensemble
 from .qlinalg import DensityMatrix, PureState
 
@@ -125,29 +124,6 @@ def pure_states_from_json(obj) -> tuple[list[PureState], list[str] | None]:
     return states, labels
 
 
-def state_set_to_json(s: StateSet) -> dict:
-    return {"dim": s.dim, "states": [vector_to_json(st.vector) for st in s.states]}
-
-
-def family_to_json(fam: UnitaryFamily) -> dict:
-    return {"dim": fam.dim, "unitaries": [matrix_to_json(u) for u in fam.unitaries]}
-
-
-def family_from_json(obj) -> UnitaryFamily:
-    """Parse a family file: {"dim": int, "unitaries": [matrix, ...]}."""
-    if not isinstance(obj, dict) or "unitaries" not in obj:
-        raise SchemaError('family file must be an object with a "unitaries" list')
-    try:
-        return UnitaryFamily(
-            dim=int(obj["dim"]),
-            unitaries=tuple(matrix_from_json(m) for m in obj["unitaries"]),
-        )
-    except (KeyError, TypeError) as exc:
-        raise SchemaError(f"malformed family object: {exc}") from exc
-    except ValueError as exc:
-        raise SchemaError(f"invalid family: {exc}") from exc
-
-
 def density_from_json(obj) -> DensityMatrix:
     """Accept either a density matrix or a pure-state vector."""
     try:
@@ -201,6 +177,7 @@ def fixed_point_result_to_json(fp: FixedPointResult) -> dict:
         if fp.representative is None
         else matrix_to_json(fp.representative.matrix),
         "basis": [matrix_to_json(b) for b in fp.basis],
+        "solver": fp.solver,
     }
 
 

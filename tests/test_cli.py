@@ -4,8 +4,15 @@ import numpy as np
 import pytest
 
 from ctcsim.cli import main
+from ctcsim.deutsch import swap_then_control
 from ctcsim.qlinalg import basis_ket, identity, minus_ket, plus_ket
-from ctcsim.serialize import dump_json, matrix_to_json, vector_to_json
+from ctcsim.serialize import (
+    dump_json,
+    interaction_to_json,
+    matrix_from_json,
+    matrix_to_json,
+    vector_to_json,
+)
 
 
 def write_state_file(path, vectors, dim=None):
@@ -125,6 +132,24 @@ class TestFixedPointCommand:
         assert report["result"]["unique"] is True
         rep = report["result"]["representative"]
         assert rep[0][0] == pytest.approx([1.0, 0.0])
+
+    def test_report_names_the_solver(self, tmp_path, capsys):
+        family = [identity(2), np.array([[1, 1], [1, -1]]) / np.sqrt(2)]
+        in_file = tmp_path / "in.json"
+        dump_json({"dim": 2, "state": vector_to_json(minus_ket())}, in_file)
+        family_file = tmp_path / "family.json"
+        dump_json({"d": 2, "family": [matrix_to_json(u) for u in family]}, family_file)
+        dense_file = tmp_path / "dense.json"
+        dump_json(interaction_to_json(swap_then_control(2, family)), dense_file)
+        results = {}
+        for ix_file in (family_file, dense_file):
+            assert main(["fixed-point", "--interaction", str(ix_file),
+                         "--input", str(in_file), "--json"]) == 0
+            results[ix_file] = json.loads(capsys.readouterr().out)["result"]
+        assert results[family_file]["solver"] == "markov"
+        assert results[dense_file]["solver"] == "svd"
+        reps = [matrix_from_json(results[f]["representative"]) for f in (family_file, dense_file)]
+        np.testing.assert_allclose(reps[0], reps[1], rtol=0, atol=1e-12)
 
     def test_identity_interaction_reports_ambiguity(self, tmp_path, capsys):
         ix_file = tmp_path / "ix.json"

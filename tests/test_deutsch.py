@@ -88,6 +88,21 @@ def matrix_unit_superoperator(ix: DeutschInteraction, rho_in: DensityMatrix) -> 
     return s
 
 
+def tail_loop_reference(ix: DeutschInteraction, rho_in: DensityMatrix, iters: int) -> np.ndarray:
+    """Reference tail average: the burn-in as one matrix power, then the last
+    ceil(T/2) iterates applied and summed one at a time."""
+    d = ix.d_ctc
+    s = induced_map(ix, rho_in)
+    burn_in = iters // 2
+    v = np.linalg.matrix_power(s, burn_in) @ (identity(d) / d).reshape(-1)
+    acc = np.zeros_like(v)
+    for _ in range(iters - burn_in):
+        v = s @ v
+        acc += v
+    avg = (acc / (iters - burn_in)).reshape(d, d)
+    return (avg + avg.conj().T) / 2.0
+
+
 class TestControlledFamily:
     def test_identity_family(self):
         np.testing.assert_array_equal(controlled_family(2, [identity(2), identity(2)]), identity(4))
@@ -133,6 +148,7 @@ class TestSwapThenControl:
         family = [random_unitary(rng, d) for _ in range(d)]
         ix = swap_then_control(d, family)
         np.testing.assert_array_equal(ix.V, controlled_family(d, family) @ swap_gate(d))
+        assert ix.V is ix.V and not ix.V.flags.writeable
 
 
 class TestInducedMap:
@@ -347,6 +363,18 @@ class TestCesaroIterate:
             checked += 1
         assert checked > 0
 
+    @pytest.mark.parametrize("d_ctc", [2, 4, 8])
+    def test_doubling_matches_tail_loop(self, d_ctc):
+        rng = np.random.default_rng(4100 + d_ctc)
+        ix = random_interaction(rng, 2, d_ctc)
+        rho_in = DensityMatrix(random_density(rng, 2))
+        for iters in (1, 2, 3, 7, 100, 10_000):
+            np.testing.assert_allclose(
+                cesaro_iterate(ix, rho_in, iters).matrix,
+                tail_loop_reference(ix, rho_in, iters),
+                rtol=0, atol=1e-10,
+            )
+
     def test_tail_average_removes_transient_at_small_gap(self):
         # swap-then-control with rotations U_k = R_y, input |0>: the CTC chain
         # A_mk = |<m|U_k|0>|^2 has second eigenvalue 0.999 - 0.011 = 0.988, so
@@ -372,6 +400,19 @@ class TestCesaroIterate:
 
         avg = cesaro_iterate(ix, rho_in, 10_000)
         assert trace_distance(avg.matrix, fp.representative.matrix) <= 1e-3
+
+
+class TestMarkovFallback:
+    def test_non_unique_chain_takes_the_svd_route(self):
+        # controlled-X after the swap, input |0>: W_0 = |0><0|, W_1 = |1><1|,
+        # so the chain matrix is the identity and every diagonal state is fixed
+        ix = swap_then_control(2, [identity(2), X])
+        dense = DeutschInteraction(2, 2, ix.V)
+        for interaction in (ix, dense):
+            fp = fixed_points(interaction, proj(KET0))
+            assert fp.fixed_space_dim == 2 and not fp.unique and fp.solver == "svd"
+            with pytest.raises(NonUniqueFixedPointError):
+                evolve(interaction, proj(KET0))
 
 
 class TestNonlinearityGap:
@@ -426,3 +467,19 @@ class TestInteractionValidation:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
             DeutschInteraction(2, 3, identity(4))
+
+    def test_needs_exactly_one_of_v_and_family(self):
+        with pytest.raises(ValueError, match="exactly one"):
+            DeutschInteraction(2, 2)
+        with pytest.raises(ValueError, match="exactly one"):
+            DeutschInteraction(2, 2, identity(4), family=[identity(2), X])
+
+    def test_family_members_checked(self):
+        with pytest.raises(ValueError, match="not unitary"):
+            swap_then_control(2, [identity(2), 2 * identity(2)])
+        with pytest.raises(ValueError, match="exactly 2"):
+            swap_then_control(2, [identity(2)])
+
+    def test_immutable(self, two_state_circuit):
+        with pytest.raises(AttributeError):
+            two_state_circuit.d_sys = 3

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import haar_state, haar_state_set
-from ctcsim.deutsch import fixed_points
+from conftest import haar_state, haar_state_set, random_density
+import ctcsim.deutsch as deutsch
+from ctcsim.deutsch import DeutschInteraction, evolve, fixed_points
 from ctcsim.distinguisher import (
     DEFAULT_SPAN_TOL,
     ConstructionError,
@@ -21,6 +22,7 @@ from ctcsim.distinguisher import (
 from ctcsim.qlinalg import (
     H,
     X,
+    DensityMatrix,
     PureState,
     basis_ket,
     identity,
@@ -363,3 +365,82 @@ class TestClassify:
         ix, s = b92_interaction()
         with pytest.raises(ValueError, match="out of range"):
             classify(ix, s, 5)
+
+
+def _assert_same_solution(markov_ix, dense_ix, rho_in):
+    """The Markov route on a family interaction against the SVD route on the
+    dense V of the same circuit: one input, every reported quantity.
+
+    States are compared to 1e-9, not 1e-10: on seeds 0-499 of every shape
+    below, the SVD route's null vector itself misses the exact fixed point
+    |j><j| of a pure input by up to 1.4e-10 (seed 334, shape (2, 3), gap
+    2.9e-4), where the Markov route is within 2e-16 of it."""
+    fm, fs = fixed_points(markov_ix, rho_in), fixed_points(dense_ix, rho_in)
+    assert (fm.solver, fs.solver) == ("markov", "svd")
+    assert (fm.fixed_space_dim, fm.unique) == (fs.fixed_space_dim, fs.unique) == (1, True)
+    np.testing.assert_allclose(
+        fm.representative.matrix, fs.representative.matrix, rtol=0, atol=1e-9
+    )
+    assert abs(fm.residual - fs.residual) <= 1e-10
+    assert abs(fm.spectrum_gap - fs.spectrum_gap) <= 1e-10
+    out_m, _ = evolve(markov_ix, rho_in)
+    out_s, _ = evolve(dense_ix, rho_in)
+    np.testing.assert_allclose(out_m.matrix, out_s.matrix, rtol=0, atol=1e-9)
+    return fm
+
+
+class TestMarkovRoute:
+    """The reduced solve of the swap-then-control circuit, cross-checked
+    against the SVD route, which stays the reference."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        # (state dim, padding factor) as in test_matches_reference_sweep:
+        # Haar sets in full span, and qubit or qutrit sets padded to d <= 8
+        shape=st.sampled_from([(n, 1) for n in range(2, 9)] + [(2, 2), (2, 3), (2, 4), (3, 2)]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_dense_route(self, shape, seed):
+        rng = np.random.default_rng(seed)
+        s = padded_haar_set(rng, *shape)
+        ix = build_distinguisher(s, construct_family(s))
+        dense = DeutschInteraction(s.dim, s.dim, ix.V)
+        for j in range(s.dim):
+            fp = _assert_same_solution(ix, dense, s.states[j].projector())
+            # the stationary vector of the chain is determined to rounding
+            # over the gap: on seeds 0-499 the error times the gap is at
+            # most 4.5e-15, and the largest error 3.4e-11 (gap 6.1e-6)
+            target = np.zeros((s.dim, s.dim))
+            target[j, j] = 1.0
+            np.testing.assert_allclose(
+                fp.representative.matrix, target, rtol=0, atol=1e-12 + 1e-14 / fp.spectrum_gap
+            )
+            assert classify(ix, s, j)[0] == classify(dense, s, j)[0] == j
+        _assert_same_solution(ix, dense, DensityMatrix(random_density(rng, s.dim)))
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(n=st.integers(2, 7), seed=st.integers(0, 2**32 - 1))
+    def test_doeblin_gap_bound(self, n, seed):
+        # condition 2 gives A >= f^2 e_j 1^T for input psi_j, with f the floor
+        # margin, so |lambda_2(A)| <= 1 - f^2: the gap is at least f^2
+        s = haar_state_set(np.random.default_rng(seed), n)
+        fam = construct_family(s)
+        floor = verify_family(s, fam).floor_margin
+        ix = build_distinguisher(s, fam)
+        dense = DeutschInteraction(n, n, ix.V)
+        for j in range(n):
+            rho_in = s.states[j].projector()
+            for interaction in (ix, dense):
+                assert fixed_points(interaction, rho_in).spectrum_gap >= floor**2 - 1e-12
+
+    def test_classify_leaves_v_unbuilt(self, rng, monkeypatch):
+        s = haar_state_set(rng, 5)
+        ix = build_distinguisher(s, construct_family(s))
+
+        def refuse(us):
+            raise AssertionError("V was built")
+
+        monkeypatch.setattr(deutsch, "_block_diagonal", refuse)
+        assert [classify(ix, s, j)[0] for j in range(5)] == list(range(5))
+        with pytest.raises(AssertionError, match="V was built"):
+            ix.V

@@ -1,15 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import random_density, random_unitary
+from conftest import random_density
 from ctcsim.deutsch import swap_then_control
 from ctcsim.qlinalg import H, basis_ket, identity, minus_ket
 from ctcsim.serialize import (
     SchemaError,
     density_from_json,
     ensemble_from_json,
-    family_from_json,
-    family_to_json,
     fixed_point_result_to_json,
     input_state_from_json,
     interaction_from_json,
@@ -120,20 +118,6 @@ class TestEnsembleFiles:
         obj = {"priors": [0.5], "states": [vector_to_json(basis_ket(2, 0))] * 2}
         with pytest.raises(SchemaError, match="invalid ensemble"):
             ensemble_from_json(obj)
-
-
-class TestFamilyFiles:
-    def test_roundtrip(self, rng):
-        u1 = random_unitary(rng, 2)
-        obj = {"dim": 2, "unitaries": [matrix_to_json(identity(2)), matrix_to_json(u1)]}
-        fam = family_from_json(obj)
-        np.testing.assert_allclose(fam.unitaries[1], u1)
-        assert family_to_json(fam)["dim"] == 2
-
-    def test_non_unitary_member_rejected(self):
-        obj = {"dim": 2, "unitaries": [matrix_to_json(np.ones((2, 2)))] * 2}
-        with pytest.raises(SchemaError, match="invalid family"):
-            family_from_json(obj)
 
 
 class TestFixedPointReport:
