@@ -11,19 +11,19 @@ map induced on the CTC factor by the chosen input. The output state is
 
     rho_out = Tr_ctc[ V (rho_in (x) rho_ctc) V^dag ].
 
-The fixed-point condition is solved by one of two routes, chosen by the shape
-of the interaction:
+The fixed-point condition is solved by one pipeline: reduce the map to a
+matrix T, take the SVD nullspace of T - I as the fixed space, and lift it
+back to operators. The reduction is chosen by the form of the interaction:
 
-  - the SVD route, for any interaction: the induced map as a superoperator
-    matrix S on row-major vectorized operators, its fixed space as the SVD
-    nullspace of S - I, and uniqueness certified by that nullspace's
-    dimension;
-  - the Markov route, for the swap-then-control circuit of a controlled
-    family {U_k}: its map M(rho) = sum_k rho_kk U_k rho_in U_k^dag depends
-    only on the diagonal of rho, so the fixed points are
-    rho = sum_k p_k U_k rho_in U_k^dag with p stationary for a d-state
-    column-stochastic matrix. Chains whose fixed space is not
-    one-dimensional go to the SVD route.
+  - a dense V ("svd"): T is the induced map as a superoperator matrix S on
+    row-major vectorized operators, and the lift is the reshape;
+  - the swap-then-control circuit of a controlled family {U_k} ("markov"):
+    its map M(rho) = sum_k rho_kk U_k rho_in U_k^dag depends only on the
+    diagonal of rho, so its fixed points are rho = sum_k p_k U_k rho_in U_k^dag
+    with p in the fixed space of a d-state column-stochastic matrix A. T is
+    A, at every fixed-space dimension, and the lift is p -> that sum.
+
+Uniqueness is certified by the dimension of the nullspace in both.
 
 The composite map rho_in -> rho_out is nonlinear in rho_in because rho_ctc
 itself depends on rho_in.
@@ -139,9 +139,11 @@ class FixedPointResult:
     ``basis`` spans that space, and ``representative`` is a genuine density
     matrix inside it (always found for a well-formed channel). ``residual``
     is the max-entry self-consistency defect of the representative, and
-    ``spectrum_gap`` = 1 - |second largest superoperator eigenvalue| is a
+    ``spectrum_gap`` = 1 - |second largest eigenvalue| of the reduced matrix
+    (whose nonzero eigenvalues are those of the superoperator) is a
     convergence diagnostic for iterative cross-checks. ``solver`` names the
-    route that produced the result: "markov" or "svd".
+    reduction that produced the result: "markov" for an interaction that
+    carries its family, "svd" for a dense V.
     """
 
     fixed_space_dim: int
@@ -193,8 +195,7 @@ def swap_then_control(dim: int, family: list[np.ndarray]) -> DeutschInteraction:
     This is the canonical distinguisher circuit shape: V = C(U_0..U_{d-1}) * SWAP
     with equal system and CTC dimensions. The interaction carries the family
     itself, each member checked for unitarity once; V is built only when
-    something asks for it, which the fixed-point solver does only for a
-    chain without a unique fixed point.
+    something asks for it, which ``fixed_points`` and ``evolve`` never do.
     """
     return DeutschInteraction(dim, dim, family=family)
 
@@ -231,16 +232,17 @@ def apply_superoperator(s: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return (s @ rho.reshape(-1)).reshape(d, d)
 
 
-def _nullspace_of_shifted(s: np.ndarray, fp_tol: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """Right and left nullspace bases of (S - I), singular values <= fp_tol * sigma_max
-    counted as zero. Returns (right basis columns, left basis columns, sigma_max)."""
-    n = s.shape[0]
-    u, sing, vh = np.linalg.svd(s - np.eye(n))
-    sigma_max = float(sing[0]) if sing.size else 0.0
-    zero = sing <= fp_tol * sigma_max
-    right = vh[zero].conj().T
-    left = u[:, zero]
-    return right, left, sigma_max
+def _nullspace_of_shifted(t: np.ndarray, fp_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Right and left nullspace bases of (T - I), as columns.
+
+    Singular values at or below fp_tol * max(sigma_max, 1) count as zero. The
+    shift by I sets a scale of at least one: when T - I is nothing but
+    rounding, sigma_max is itself at rounding level, and a rule relative to
+    it alone would count the noise as nonzero.
+    """
+    u, sing, vh = np.linalg.svd(t - np.eye(t.shape[0]))
+    zero = sing <= fp_tol * sing.max(initial=1.0)
+    return vh[zero].conj().T, u[:, zero]
 
 
 def _clip_to_density(h: np.ndarray) -> DensityMatrix | None:
@@ -263,36 +265,63 @@ def _clip_to_density(h: np.ndarray) -> DensityMatrix | None:
     return DensityMatrix(rho)
 
 
-def _density_representative(
-    right: np.ndarray, left: np.ndarray, d: int
-) -> DensityMatrix | None:
-    """Extract a density-matrix fixed point from the nullspace.
+def _reduced_form(ix: DeutschInteraction, rho_in: DensityMatrix):
+    """The CTC map of ``ix`` for ``rho_in`` as a matrix T on a reduced space.
 
-    One-dimensional spaces are handled by Hermitian-symmetrizing the single
-    basis element. Larger spaces use the spectral projection onto the
-    eigenvalue-one subspace applied to the maximally mixed state, which for a
-    channel is itself a fixed state (the eigenvalue is semisimple, so the
-    projection is K (L^dag K)^{-1} L^dag with K, L the right/left bases).
+    Returns (T, start, lift, ctc_map, solver). ``lift`` sends columns of the
+    reduced space to row-major vectorized operators; it maps the fixed space
+    of T onto the fixed space of M, and the spectral projection of ``start``
+    onto that of I/d. ``ctc_map`` applies M to a (d, d) matrix.
+
+      - dense V: T is the superoperator S, start is vec(I/d) and lift is
+        the identity;
+      - family: with W_k = U_k rho_in U_k^dag the map is
+        M(rho) = sum_k rho_kk W_k, so rho is fixed iff rho = sum_k p_k W_k
+        with A p = p, where A_mk = (W_k)_mm is column stochastic. T is A,
+        start is the uniform vector 1/d and lift is x -> sum_k x_k W_k.
     """
-    if right.shape[1] == 1:
-        b = right[:, 0].reshape(d, d)
-        h = (b + b.conj().T) / 2.0
-        if np.abs(h).max() < 1e-12:
-            h = 1j * (b - b.conj().T) / 2.0
-        return _clip_to_density(h)
+    d = ix.d_ctc
+    if ix.family is None:
+        s = induced_map(ix, rho_in)
+        start = (np.eye(d, dtype=complex) / d).reshape(-1)
+        return s, start, lambda x: x, lambda rho: apply_superoperator(s, rho), "svd"
+    us = ix.family
+    w = us @ rho_in.matrix @ us.conj().transpose(0, 2, 1)
+    # A is real but held as complex: the SVD and eigensolve then run the same
+    # complex LAPACK routines as every other solve, where the real ones would
+    # page in about 0.5 MB more of the library.
+    a = np.diagonal(w, axis1=1, axis2=2).real.T.astype(complex)
+    start = np.full(d, 1.0 / d, dtype=complex)
+    w_cols = w.reshape(d, d * d).T  # column k is vec(W_k)
+    return (a, start, lambda x: w_cols @ x,
+            lambda rho: (w_cols @ np.diagonal(rho)).reshape(d, d), "markov")
+
+
+def _density_representative(
+    right: np.ndarray, left: np.ndarray, start: np.ndarray, lifted: np.ndarray, d: int
+) -> DensityMatrix | None:
+    """A density-matrix fixed point from the nullspace of T - I.
+
+    The eigenvalue one of a channel or a stochastic chain is semisimple, so
+    the spectral projection onto its eigenspace is R (L^dag R)^{-1} L^dag,
+    with R, L the right and left nullspace bases. Applied to ``start`` and
+    lifted (``lifted`` holds the lifted columns of R) it gives the spectral
+    projection of I/d onto the fixed space of the CTC map, itself a fixed
+    state; for a one-dimensional space that is the null vector scaled to
+    trace one. Should rounding leave it outside the state space, the
+    symmetrized lifted basis elements are scanned instead.
+    """
     try:
-        cross = left.conj().T @ right
-        coeffs = np.linalg.solve(cross, left.conj().T @ (np.eye(d, dtype=complex) / d).reshape(-1))
-        projected = (right @ coeffs).reshape(d, d)
+        coeffs = np.linalg.solve(left.conj().T @ right, left.conj().T @ start)
     except np.linalg.LinAlgError:
-        projected = None
-    if projected is not None:
+        coeffs = None
+    if coeffs is not None:
+        projected = (lifted @ coeffs).reshape(d, d)
         rho = _clip_to_density((projected + projected.conj().T) / 2.0)
         if rho is not None:
             return rho
-    # fall back to scanning symmetrized basis elements
-    for col in range(right.shape[1]):
-        b = right[:, col].reshape(d, d)
+    for col in lifted.T:
+        b = col.reshape(d, d)
         for h in ((b + b.conj().T) / 2.0, 1j * (b - b.conj().T) / 2.0):
             rho = _clip_to_density(h)
             if rho is not None:
@@ -300,53 +329,12 @@ def _density_representative(
     return None
 
 
-def _spectrum_gap(s: np.ndarray) -> float:
+def _spectrum_gap(t: np.ndarray) -> float:
     # Diagnostic only; the fixed space itself always comes from an SVD.
-    moduli = np.sort(np.abs(np.linalg.eigvals(s)))[::-1]
+    moduli = np.sort(np.abs(np.linalg.eigvals(t)))[::-1]
     if moduli.size < 2:
         return 1.0
     return float(1.0 - moduli[1])
-
-
-def _markov_fixed_points(
-    us: np.ndarray, rho_in: DensityMatrix, fp_tol: float
-) -> FixedPointResult | None:
-    """Fixed point of the swap-then-control map from its d-state chain.
-
-    With W_k = U_k rho_in U_k^dag the map is M(rho) = sum_k rho_kk W_k, so
-    rho is fixed iff rho = sum_k p_k W_k with A p = p, where
-    A_mk = (W_k)_mm is column stochastic. The fixed spaces of M and of A
-    have the same dimension, decided by the same SVD rule as for S; the
-    nonzero eigenvalues of S are those of A, so the spectrum gap is read
-    from A. Returns None unless that dimension is one.
-    """
-    w = us @ rho_in.matrix @ us.conj().transpose(0, 2, 1)
-    # A is real but held as complex: the SVD and eigensolve then run the same
-    # complex LAPACK routines as every other solve, where the real ones would
-    # page in about 0.5 MB more of the library.
-    a = np.diagonal(w, axis1=1, axis2=2).real.T.astype(complex)
-    right, _left, _sigma_max = _nullspace_of_shifted(a, fp_tol)
-    if right.shape[1] != 1:
-        return None
-    p = (right[:, 0] / right[:, 0].sum()).real
-    b = np.tensordot(p, w, axes=1)
-    representative = _clip_to_density(b)
-    if representative is None:
-        raise FixedPointSolverError(
-            "stationary vector of the CTC chain gives no density matrix "
-            "within the eigenvalue-clip tolerance; numerical failure"
-        )
-    rho = representative.matrix
-    residual = float(np.abs(np.tensordot(np.diagonal(rho), w, axes=1) - rho).max())
-    return FixedPointResult(
-        fixed_space_dim=1,
-        unique=True,
-        residual=residual,
-        spectrum_gap=_spectrum_gap(a),
-        representative=representative,
-        basis=[b / np.linalg.norm(b)],
-        solver="markov",
-    )
 
 
 def fixed_points(
@@ -357,68 +345,63 @@ def fixed_points(
 ) -> FixedPointResult:
     """Solve the self-consistency condition for the CTC state.
 
-    Computes the nullspace of (S - I) by singular value decomposition, where
-    S is the induced superoperator; singular values at or below
-    ``fp_tol * sigma_max`` count as zero. The fixed-point space dimension,
-    a spanning operator basis, and a density-matrix representative are
-    reported. ``unique`` is true iff the space is one-dimensional.
-
-    An interaction that carries its controlled family is first solved as a
-    d-state Markov chain (``solver`` "markov"), with the same zero rule
-    applied to A - I for its d x d chain matrix A; only when that chain's
-    fixed space is not one-dimensional does the SVD of S - I run
-    (``solver`` "svd"), which builds the interaction's V.
+    One pipeline with two reductions, chosen by the form of the interaction
+    (see ``_reduced_form``): a dense V is solved on its superoperator S
+    (``solver`` "svd"), a swap-then-control interaction that carries its
+    family on the d x d chain matrix A of its CTC map (``solver`` "markov"),
+    at every fixed-space dimension and without forming V or S. The fixed
+    space is the SVD nullspace of T - I for the reduced matrix T, singular
+    values at or below ``fp_tol * max(sigma_max, 1)`` counted as zero, and
+    lifted back to operators. The fixed-point space dimension, a spanning
+    operator basis (each element of unit norm), and a density-matrix
+    representative are reported. ``unique`` is true iff the space is
+    one-dimensional.
 
     ``select_max_entropy`` additionally replaces the representative of a
     non-unique space with the maximum-entropy fixed state (an optional
     selection rule layered on top of the bare self-consistency condition;
-    the ambiguity itself is still reported via ``unique``/``basis``). A
-    non-unique space is always solved by the SVD route.
+    the ambiguity itself is still reported via ``unique``/``basis``).
     """
     if fp_tol <= 0:
         raise ValueError("fp_tol must be positive")
-    if ix.family is not None:
-        _check_input_dim(ix, rho_in)
-        fp = _markov_fixed_points(ix.family, rho_in, fp_tol)
-        if fp is not None:
-            return fp
+    _check_input_dim(ix, rho_in)
     d = ix.d_ctc
-    s = induced_map(ix, rho_in)
-    right, left, _sigma_max = _nullspace_of_shifted(s, fp_tol)
+    t, start, lift, ctc_map, solver = _reduced_form(ix, rho_in)
+    right, left = _nullspace_of_shifted(t, fp_tol)
     dim = right.shape[1]
     if dim == 0:
         raise FixedPointSolverError(
-            "no fixed point found: the nullspace of (S - I) is empty, which "
+            "no fixed point found: the nullspace of (T - I) is empty, which "
             "cannot happen for a trace-preserving map; check fp_tol"
         )
-    basis = [right[:, k].reshape(d, d).copy() for k in range(dim)]
-    representative = _density_representative(right, left, d)
+    lifted = lift(right)
+    basis = [(col / np.linalg.norm(col)).reshape(d, d) for col in lifted.T]
+    representative = _density_representative(right, left, start, lifted, d)
     if representative is None:
         raise FixedPointSolverError(
             "nullspace contains no density-matrix element within the "
             "eigenvalue-clip tolerance; numerical failure"
         )
     if select_max_entropy and dim > 1:
-        representative = _max_entropy_fixed_state(right, representative)
-    residual = float(
-        np.abs(apply_superoperator(s, representative.matrix) - representative.matrix).max()
-    )
+        representative = _max_entropy_fixed_state(lifted, representative)
+    rho = representative.matrix
     return FixedPointResult(
         fixed_space_dim=dim,
         unique=(dim == 1),
-        residual=residual,
-        spectrum_gap=_spectrum_gap(s),
+        residual=float(np.abs(ctc_map(rho) - rho).max()),
+        spectrum_gap=_spectrum_gap(t),
         representative=representative,
         basis=basis,
+        solver=solver,
     )
 
 
-def _hermitian_traceless_directions(right: np.ndarray, d: int) -> list[np.ndarray]:
+def _hermitian_traceless_directions(lifted: np.ndarray, d: int) -> list[np.ndarray]:
     """Orthonormal Hermitian traceless operators spanning the movable part
-    of the fixed space."""
+    of the fixed space, whose basis ``lifted`` holds as vec columns."""
     candidates = []
-    for col in range(right.shape[1]):
-        b = right[:, col].reshape(d, d)
+    for col in lifted.T:
+        b = col.reshape(d, d)
         candidates.append((b + b.conj().T) / 2.0)
         candidates.append(1j * (b - b.conj().T) / 2.0)
     directions: list[np.ndarray] = []
@@ -432,20 +415,21 @@ def _hermitian_traceless_directions(right: np.ndarray, d: int) -> list[np.ndarra
     return directions
 
 
-def _max_entropy_fixed_state(right: np.ndarray, start: DensityMatrix) -> DensityMatrix:
+def _max_entropy_fixed_state(lifted: np.ndarray, start: DensityMatrix) -> DensityMatrix:
     """Maximum-entropy density matrix in the fixed-point space.
 
     Entropy is strictly concave, so the maximizer over the (convex, compact)
-    set of fixed states is unique. The space is parametrized by Hermitian
-    traceless directions around an interior starting point and optimized with
-    the Nelder-Mead simplex method; leaving the positive semidefinite region
-    is fenced off by a large objective value. scipy is imported here, its only
-    use, so that importing the package does not pay for it.
+    set of fixed states is unique. The space, whose basis ``lifted`` holds
+    as vec columns, is parametrized by Hermitian traceless directions around
+    an interior starting point and optimized with the Nelder-Mead simplex
+    method; leaving the positive semidefinite region is fenced off by a
+    large objective value. scipy is imported here, its only use, so that
+    importing the package does not pay for it.
     """
     import scipy.optimize
 
     d = start.dim
-    directions = _hermitian_traceless_directions(right, d)
+    directions = _hermitian_traceless_directions(lifted, d)
     if not directions:
         return start
     base = start.matrix
@@ -516,17 +500,17 @@ def evolve(
 
     Refuses to produce an output when the fixed point is not unique: the
     raised ``NonUniqueFixedPointError`` carries the ``FixedPointResult`` so
-    callers can inspect the ambiguity. The superoperator is built once: the
+    callers can inspect the ambiguity. The reduced map is built once: the
     self-consistency check that ``output_state`` makes is read from
-    ``fp.residual``, the same defect of the same map. A fixed point found
-    by the Markov route gives its output from the family, without V.
+    ``fp.residual``, the same defect of the same map. An interaction that
+    carries its family gives its output from the family, without V.
     """
     fp = fixed_points(ix, rho_in, fp_tol)
     if not fp.unique:
         raise NonUniqueFixedPointError(fp)
     assert fp.representative is not None
     _check_self_consistency(fp.residual)
-    if fp.solver == "markov":
+    if ix.family is not None:
         return _family_output(ix.family, rho_in, fp.representative), fp
     return _system_output(ix, rho_in, fp.representative), fp
 

@@ -65,13 +65,15 @@ class StateSet:
 class ConstructionTrace:
     """Record of one basis-building sweep.
 
-    ``input_basis`` holds the b vectors (Gram-Schmidt over the states),
-    ``output_basis`` the c vectors (group superpositions), and ``groups``
-    the sweep steps as (step index, member state indices, group size).
+    ``input_basis`` is the read-only matrix B whose columns are the b vectors
+    (Gram-Schmidt over the states), ``output_basis`` the matrix C whose
+    columns are the c vectors (group superpositions), so U_k = C B^dag; and
+    ``groups`` the sweep steps as (step index, member state indices, group
+    size).
     """
 
-    input_basis: tuple[PureState, ...]
-    output_basis: tuple[PureState, ...]
+    input_basis: np.ndarray
+    output_basis: np.ndarray
     groups: tuple[tuple[int, tuple[int, ...], int], ...]
 
 
@@ -226,12 +228,9 @@ def _build_single_unitary(
         resid = resid[:, ~grouped]
     b = _complete_basis(b, rank)
     c = _complete_basis(c, rank)
-    trace = ConstructionTrace(
-        input_basis=tuple(PureState(col) for col in b.T),
-        output_basis=tuple(PureState(col) for col in c.T),
-        groups=tuple(groups),
-    )
-    return c @ b.conj().T, trace
+    b.setflags(write=False)
+    c.setflags(write=False)
+    return c @ b.conj().T, ConstructionTrace(input_basis=b, output_basis=c, groups=tuple(groups))
 
 
 def construct_family(

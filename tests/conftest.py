@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from ctcsim.distinguisher import StateSet, validate_state_set
 from ctcsim.qlinalg import PureState
+
+# Every property test draws the same examples on every run. conftest is
+# imported before the test modules, so their @settings inherit this profile.
+settings.register_profile("reproducible", derandomize=True)
+settings.load_profile("reproducible")
 
 
 def haar_state(rng: np.random.Generator, dim: int) -> PureState:

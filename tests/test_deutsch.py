@@ -402,17 +402,94 @@ class TestCesaroIterate:
         assert trace_distance(avg.matrix, fp.representative.matrix) <= 1e-3
 
 
-class TestMarkovFallback:
-    def test_non_unique_chain_takes_the_svd_route(self):
+def phased_permutation(rng: np.random.Generator, d: int) -> np.ndarray:
+    """U |i> = e^(i theta_i) |pi(i)> for a random permutation pi and phases."""
+    return np.eye(d)[:, rng.permutation(d)] * np.exp(2j * np.pi * rng.random(d))
+
+
+def span_projector(basis: list[np.ndarray]) -> np.ndarray:
+    q, _ = np.linalg.qr(np.stack([b.reshape(-1) for b in basis], axis=1))
+    return q @ q.conj().T
+
+
+class TestReductions:
+    """One fixed-point pipeline with two reductions: the chain of a family
+    interaction against the superoperator of the dense V of the same circuit."""
+
+    def test_non_unique_chain_stays_on_the_chain(self):
         # controlled-X after the swap, input |0>: W_0 = |0><0|, W_1 = |1><1|,
         # so the chain matrix is the identity and every diagonal state is fixed
         ix = swap_then_control(2, [identity(2), X])
         dense = DeutschInteraction(2, 2, ix.V)
-        for interaction in (ix, dense):
+        for interaction, solver in ((ix, "markov"), (dense, "svd")):
             fp = fixed_points(interaction, proj(KET0))
-            assert fp.fixed_space_dim == 2 and not fp.unique and fp.solver == "svd"
+            assert fp.fixed_space_dim == 2 and not fp.unique and fp.solver == solver
             with pytest.raises(NonUniqueFixedPointError):
                 evolve(interaction, proj(KET0))
+
+    def test_zero_rule_on_a_rounding_level_shift(self):
+        # S - I is all rounding, so its largest singular value is ~1e-16; a
+        # zero rule relative to that alone counted noise as nonzero and
+        # raised FixedPointSolverError for this phase
+        fp = fixed_points(DeutschInteraction(2, 2, np.exp(0.15j) * np.eye(4)), proj(KET0))
+        assert fp.fixed_space_dim == 4 and not fp.unique
+
+    def test_zero_rule_on_a_phased_controlled_x(self):
+        # the chain matrix is the identity up to rounding: both forms must
+        # see the two-dimensional fixed space
+        ix = swap_then_control(2, [identity(2), np.exp(0.15j) * X])
+        for interaction in (ix, DeutschInteraction(2, 2, ix.V)):
+            fp = fixed_points(interaction, proj(KET0))
+            assert fp.fixed_space_dim == 2 and not fp.unique
+            with pytest.raises(NonUniqueFixedPointError):
+                evolve(interaction, proj(KET0))
+
+    def test_max_entropy_selection_on_both_forms(self):
+        ix = swap_then_control(2, [identity(2), X])
+        for interaction in (ix, DeutschInteraction(2, 2, ix.V)):
+            fp = fixed_points(interaction, proj(KET0), select_max_entropy=True)
+            assert fp.fixed_space_dim == 2
+            np.testing.assert_allclose(fp.representative.matrix, identity(2) / 2, atol=1e-6)
+
+    def test_non_unique_family_builds_neither_v_nor_s(self, monkeypatch):
+        ix = swap_then_control(2, [identity(2), X])
+
+        def refuse(*args):
+            raise AssertionError("dense object built")
+
+        monkeypatch.setattr(deutsch, "_block_diagonal", refuse)
+        monkeypatch.setattr(deutsch, "induced_map", refuse)
+        fp = fixed_points(ix, proj(KET0))
+        assert fp.fixed_space_dim == 2 and fp.solver == "markov"
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        d=st.integers(2, 5),
+        mixed=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_family_matches_dense_on_phased_permutations(self, d, mixed, seed):
+        # each W_k is diagonal, so the chain is a 0/1 or weighted functional
+        # graph and fixed spaces of every dimension up to d occur
+        rng = np.random.default_rng(seed)
+        ix = swap_then_control(d, [phased_permutation(rng, d) for _ in range(d)])
+        dense = DeutschInteraction(d, d, ix.V)
+        weights = np.zeros(d)
+        if mixed:
+            support = rng.random(d) < 0.5
+            support[rng.integers(d)] = True
+            weights[support] = rng.random(int(support.sum())) + 0.1
+        else:
+            weights[rng.integers(d)] = 1.0
+        rho_in = DensityMatrix(np.diag(weights / weights.sum()).astype(complex))
+        fm, fs = fixed_points(ix, rho_in), fixed_points(dense, rho_in)
+        assert (fm.fixed_space_dim, fm.unique) == (fs.fixed_space_dim, fs.unique)
+        np.testing.assert_allclose(
+            span_projector(fm.basis), span_projector(fs.basis), rtol=0, atol=1e-12
+        )
+        np.testing.assert_allclose(
+            fm.representative.matrix, fs.representative.matrix, rtol=0, atol=1e-12
+        )
 
 
 class TestNonlinearityGap:

@@ -194,7 +194,7 @@ class TestConstructFamily:
         np.testing.assert_allclose(fam.unitaries[0], z, atol=1e-12)
         trace = fam.traces[0]
         assert [g[1] for g in trace.groups] == [(0,), (1,)]
-        np.testing.assert_allclose(trace.input_basis[1].vector, -basis_ket(2, 1), atol=1e-12)
+        np.testing.assert_allclose(trace.input_basis[:, 1], -basis_ket(2, 1), atol=1e-12)
         # U_0 |-> = |+> up to phase, so the cross element has magnitude 1/sqrt(2)
         amp = abs((fam.unitaries[0] @ minus_ket())[1])
         assert amp == pytest.approx(1 / np.sqrt(2))
@@ -257,9 +257,7 @@ class TestConstructFamily:
             )
             assert trace.groups == tuple(ref_groups)
             for got, want in ((trace.input_basis, ref_b), (trace.output_basis, ref_c)):
-                np.testing.assert_allclose(
-                    np.array([p.vector for p in got]), np.array(want), rtol=0, atol=1e-12
-                )
+                np.testing.assert_allclose(got, np.stack(want, axis=1), rtol=0, atol=1e-12)
             np.testing.assert_allclose(u, ref_u, rtol=0, atol=1e-12)
 
 
