@@ -131,7 +131,7 @@ class DeutschInteraction:
         return self._V
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FixedPointResult:
     """Diagnostics for the fixed-point set of an induced CTC map.
 

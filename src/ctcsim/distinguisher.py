@@ -43,7 +43,7 @@ class ConstructionError(RuntimeError):
     (usually a span tolerance misclassifying nearly-dependent states)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateSet:
     """Exactly `dim` pairwise-distinct normalized states in dimension `dim`."""
 
@@ -61,7 +61,7 @@ class StateSet:
         return [st.vector for st in self.states]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConstructionTrace:
     """Record of one basis-building sweep.
 
@@ -77,7 +77,7 @@ class ConstructionTrace:
     groups: tuple[tuple[int, tuple[int, ...], int], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UnitaryFamily:
     """The unitaries {U_k} of a distinguisher, plus construction traces."""
 

@@ -25,7 +25,7 @@ _EIG_ZERO = 1e-14
 _PRIOR_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ensemble:
     """Classical prior over a list of density matrices of common dimension."""
 

@@ -35,7 +35,7 @@ from .qlinalg import H, X, PureState, basis_ket, identity, minus_ket, plus_ket, 
 EVE_STRATEGIES = ("none", "ctc", "intercept_resend_z")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QkdProtocol:
     """Signal-state table for one prepare-and-measure protocol.
 
@@ -216,6 +216,35 @@ def _ctc_labeler(protocol: QkdProtocol) -> np.ndarray:
     return np.array(labels)
 
 
+def _write_transcript(path: str | Path, n_signals: int, fields: dict) -> None:
+    """Write one JSON line per signal: ``index`` plus ``fields``, sorted keys.
+
+    ``fields`` maps each key to (digits, values): the per-signal array of
+    digits, or None for a field absent from the session (null on every
+    line), and the JSON value of each digit. Every field but ``index`` takes a few
+    values, so the digits of a signal form one mixed-radix code and a
+    session holds at most a few hundred distinct records. Each code that
+    occurs is rendered once by ``json.dumps`` with index 0 and split there
+    into a prefix and a suffix; a line is prefix + index + suffix, the bytes
+    ``json.dumps`` writes for the whole record.
+    """
+    present = {key: spec for key, spec in fields.items() if spec[0] is not None}
+    code = np.zeros(n_signals, dtype=np.intp)
+    for digits, values in present.values():
+        code = code * len(values) + digits
+    used = np.flatnonzero(np.bincount(code))
+    digits_of_used = np.unravel_index(used, [len(values) for _, values in present.values()])
+    prefix, suffix = {}, {}
+    for row, c in enumerate(used.tolist()):
+        record = dict.fromkeys(fields) | {"index": 0}
+        for (key, (_, values)), digits in zip(present.items(), digits_of_used):
+            record[key] = values[digits[row]]
+        head, _, tail = json.dumps(record, sort_keys=True).partition('"index": 0')
+        prefix[c], suffix[c] = head + '"index": ', tail + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(f"{prefix[c]}{i}{suffix[c]}" for i, c in enumerate(code.tolist()))
+
+
 def run_qkd(
     protocol: QkdProtocol,
     n_signals: int,
@@ -230,7 +259,10 @@ def run_qkd(
     keeps conclusive exclusion outcomes). Outcomes are sampled from exact
     Born probabilities, each choice drawn for the whole session as one
     array. Fully reproducible from ``seed``; an optional JSON lines
-    transcript records every round.
+    transcript records every round, one sorted-key record per signal. The
+    records take few distinct values but for ``index``, so each distinct
+    record is rendered by ``json.dumps`` once, as a template that every
+    signal sharing it fills in with its index (see ``_write_transcript``).
     """
     if n_signals < 1:
         raise ValueError("n_signals must be at least 1")
@@ -271,20 +303,16 @@ def run_qkd(
     error = sifted & (bob_outcome != alice_bit)
 
     if transcript_path is not None:
-        names, nothing = np.array(["Z", "X"]), [None] * n_signals
-        columns = {
-            "index": range(n_signals),
-            "alice_bit": alice_bit.tolist(),
-            "alice_basis": nothing if alice_basis is None else names[alice_basis].tolist(),
-            "eve_label": nothing if eve_label is None else eve_label.tolist(),
-            "bob_basis": names[bob_basis].tolist(),
-            "bob_outcome": bob_outcome.tolist(),
-            "sifted": sifted.tolist(),
-            "error": error.tolist(),
+        fields = {
+            "alice_bit": (alice_bit, (0, 1)),
+            "alice_basis": (alice_basis, ("Z", "X")),
+            "eve_label": (eve_label, range(len(protocol.signal_states))),
+            "bob_basis": (bob_basis, ("Z", "X")),
+            "bob_outcome": (bob_outcome, (0, 1)),
+            "sifted": (sifted, (False, True)),
+            "error": (error, (False, True)),
         }
-        with open(transcript_path, "w", encoding="utf-8") as fh:
-            for values in zip(*columns.values()):
-                fh.write(json.dumps(dict(zip(columns, values)), sort_keys=True) + "\n")
+        _write_transcript(transcript_path, n_signals, fields)
 
     n_sifted = int(sifted.sum())
     errors = int(error.sum())

@@ -133,7 +133,7 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureState:
     """Normalized complex state vector."""
 
@@ -169,7 +169,7 @@ class PureState:
         return complex(self.vector.conj() @ other.vector)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian, positive semidefinite, trace-one complex matrix."""
 

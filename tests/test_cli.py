@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ctcsim
 from ctcsim.cli import main
 from ctcsim.deutsch import swap_then_control
 from ctcsim.qlinalg import basis_ket, identity, minus_ket, plus_ket
@@ -210,6 +215,23 @@ class TestQkdCommand:
 
     def test_zero_signals_is_input_error(self):
         assert main(["qkd", "--protocol", "bb84", "--signals", "0"]) == 2
+
+    def test_ctc_session_does_not_import_scipy(self):
+        # scipy serves only the maximum-entropy selection; importing it
+        # would multiply the command's cold-start time
+        script = (
+            "import sys\n"
+            "import ctcsim\n"
+            "from ctcsim import cli\n"
+            "code = cli.main(['qkd', '--protocol', 'bb84', '--signals', '100', '--eve', 'ctc'])\n"
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        src = str(Path(ctcsim.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, timeout=120, check=True)
+        assert proc.stdout.splitlines()[-1] == "0 []"
 
 
 class TestHolevoCommand:

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from ctcsim import cli, protocols
 from ctcsim.protocols import (
     EVE_STRATEGIES,
     b92_demo,
@@ -240,3 +241,63 @@ class TestWholeSession:
         assert_rate(stats.sifted / n, sift, n)
         assert_rate(stats.qber, qber, stats.sifted)
         assert_rate(stats.eve_info, eve_info, stats.sifted)
+
+
+def json_dumps_reference(n_signals: int, columns: dict) -> bytes:
+    """The transcript as written by one ``json.dumps`` per signal, from the
+    session's per-signal arrays (None for a field absent from the session)."""
+    names, nothing = np.array(["Z", "X"]), [None] * n_signals
+    alice_basis, eve_label = columns["alice_basis"], columns["eve_label"]
+    rows = {
+        "index": range(n_signals),
+        "alice_bit": columns["alice_bit"].tolist(),
+        "alice_basis": nothing if alice_basis is None else names[alice_basis].tolist(),
+        "eve_label": nothing if eve_label is None else eve_label.tolist(),
+        "bob_basis": names[columns["bob_basis"]].tolist(),
+        "bob_outcome": columns["bob_outcome"].tolist(),
+        "sifted": columns["sifted"].tolist(),
+        "error": columns["error"].tolist(),
+    }
+    lines = (json.dumps(dict(zip(rows, values)), sort_keys=True) + "\n"
+             for values in zip(*rows.values()))
+    return "".join(lines).encode("utf-8")
+
+
+@pytest.fixture
+def session_arrays(monkeypatch):
+    """Record the per-signal arrays each session hands its transcript writer."""
+    calls = []
+    write = protocols._write_transcript
+
+    def recording(path, n_signals, fields):
+        calls.append((n_signals, {key: digits for key, (digits, _) in fields.items()}))
+        write(path, n_signals, fields)
+
+    monkeypatch.setattr(protocols, "_write_transcript", recording)
+    return calls
+
+
+class TestTranscriptWriter:
+    @pytest.mark.parametrize("seed", [2024, 7])
+    @pytest.mark.parametrize("make_protocol, eve", SESSIONS)
+    def test_matches_reference(self, make_protocol, eve, seed, tmp_path, session_arrays):
+        path = tmp_path / "t.jsonl"
+        run_qkd(make_protocol(), 3000, eve, seed, transcript_path=path)
+        (n_signals, columns), = session_arrays
+        assert path.read_bytes() == json_dumps_reference(n_signals, columns)
+
+    @pytest.mark.parametrize("make_protocol, eve", SESSIONS)
+    def test_single_signal(self, make_protocol, eve, tmp_path, session_arrays):
+        path = tmp_path / "t.jsonl"
+        run_qkd(make_protocol(), 1, eve, 5, transcript_path=path)
+        (n_signals, columns), = session_arrays
+        assert n_signals == 1
+        assert path.read_bytes() == json_dumps_reference(n_signals, columns)
+
+    def test_cli_transcript_matches_reference(self, tmp_path, capsys, session_arrays):
+        path = tmp_path / "t.jsonl"
+        assert cli.main(["qkd", "--protocol", "bb84", "--signals", "3000", "--eve",
+                         "intercept_resend_z", "--seed", "9", "--transcript", str(path)]) == 0
+        capsys.readouterr()
+        (n_signals, columns), = session_arrays
+        assert path.read_bytes() == json_dumps_reference(n_signals, columns)

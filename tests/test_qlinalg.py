@@ -2,6 +2,10 @@ import numpy as np
 import pytest
 
 from conftest import random_density, random_unitary
+from ctcsim.deutsch import FixedPointResult
+from ctcsim.distinguisher import UnitaryFamily, construct_family, validate_state_set
+from ctcsim.infotheory import Ensemble
+from ctcsim.protocols import bb84_protocol
 from ctcsim.qlinalg import (
     H,
     X,
@@ -197,3 +201,37 @@ class TestTraceDistance:
             trace_distance(a, b),
             atol=1e-12,
         )
+
+
+def two_state_set():
+    return validate_state_set([PureState(basis_ket(2, 0)), PureState(minus_ket())])
+
+
+def mixed_qubit():
+    return DensityMatrix(np.eye(2) / 2)
+
+
+# one factory per value type that holds arrays: each call builds a fresh
+# instance, equal in value to the one before
+ARRAY_HOLDERS = {
+    "PureState": lambda: PureState(basis_ket(2, 0)),
+    "DensityMatrix": mixed_qubit,
+    "Ensemble": lambda: Ensemble(priors=(1.0,), states=(mixed_qubit(),)),
+    "StateSet": two_state_set,
+    "ConstructionTrace": lambda: construct_family(two_state_set()).traces[0],
+    "UnitaryFamily": lambda: UnitaryFamily(dim=2, unitaries=(identity(2), H)),
+    "FixedPointResult": lambda: FixedPointResult(
+        1, True, 0.0, 1.0, mixed_qubit(), [np.eye(2) / np.sqrt(2)], "markov"
+    ),
+    "QkdProtocol": bb84_protocol,
+}
+
+
+class TestArrayHolderEquality:
+    @pytest.mark.parametrize("make", ARRAY_HOLDERS.values(), ids=list(ARRAY_HOLDERS))
+    def test_equality_is_identity(self, make):
+        a, b = make(), make()
+        assert (a == b) is False
+        assert a != b
+        assert a == a
+        assert len({a, b}) == 2
