@@ -16,6 +16,7 @@ envelope; identical configurations produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -73,10 +74,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _tolerances_valid(args: argparse.Namespace) -> bool:
-    for name in ("fp_tol", "span_tol", "distinct_tol"):
-        if getattr(args, name, None) is not None and getattr(args, name) <= 0:
-            return False
-    return True
+    values = (getattr(args, name, None) for name in ("fp_tol", "span_tol", "distinct_tol"))
+    return all(0.0 < v < math.inf for v in values if v is not None)
 
 
 def _emit(report: dict, args: argparse.Namespace, summary_lines: list[str]) -> None:
@@ -164,14 +163,13 @@ def _cmd_fixed_point(args: argparse.Namespace) -> int:
     fp = deutsch.fixed_points(ix, rho_in, args.fp_tol)
     result = serialize.fixed_point_result_to_json(fp)
     config = {"interaction": args.interaction, "input": args.input, "fp_tol": args.fp_tol}
+    diag = ", ".join(f"{v:.6f}" for v in np.real(np.diag(fp.representative.matrix)))
     lines = [
         f"fixed-point: space dimension {fp.fixed_space_dim}, "
         f"unique = {fp.unique}, residual {fp.residual:.3e}, "
-        f"spectrum gap {fp.spectrum_gap:.6f}"
+        f"spectrum gap {fp.spectrum_gap:.6f}",
+        f"  representative diagonal: [{diag}]",
     ]
-    if fp.representative is not None:
-        diag = ", ".join(f"{v:.6f}" for v in np.real(np.diag(fp.representative.matrix)))
-        lines.append(f"  representative diagonal: [{diag}]")
     _emit(_envelope("fixed-point", config, result), args, lines)
     return EXIT_OK
 
@@ -179,6 +177,8 @@ def _cmd_fixed_point(args: argparse.Namespace) -> int:
 def _cmd_qkd(args: argparse.Namespace) -> int:
     if args.signals < 1:
         raise serialize.SchemaError("--signals must be at least 1")
+    if args.seed < 0:
+        raise serialize.SchemaError("--seed must be non-negative")
     protocol = protocols.b92_protocol() if args.protocol == "b92" else protocols.bb84_protocol()
     stats = protocols.run_qkd(
         protocol, args.signals, args.eve, args.seed, transcript_path=args.transcript
@@ -244,7 +244,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if not _tolerances_valid(args):
-        print("error: tolerances must be strictly positive", file=sys.stderr)
+        print("error: tolerances must be finite and strictly positive", file=sys.stderr)
         return EXIT_INPUT
     try:
         return _HANDLERS[args.command](args)

@@ -31,7 +31,8 @@ itself depends on rho_in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -133,26 +134,41 @@ class DeutschInteraction:
 
 @dataclass(frozen=True, eq=False)
 class FixedPointResult:
-    """Diagnostics for the fixed-point set of an induced CTC map.
+    """What a fixed-point solve decided, for an induced CTC map.
 
     fixed_space_dim counts the operator-space solutions of M(rho) = rho,
-    ``basis`` spans that space, and ``representative`` is a genuine density
-    matrix inside it (always found for a well-formed channel). ``residual``
-    is the max-entry self-consistency defect of the representative, and
-    ``spectrum_gap`` = 1 - |second largest eigenvalue| of the reduced matrix
-    (whose nonzero eigenvalues are those of the superoperator) is a
-    convergence diagnostic for iterative cross-checks. ``solver`` names the
-    reduction that produced the result: "markov" for an interaction that
-    carries its family, "svd" for a dense V.
+    ``basis`` spans that space, and ``representative`` is a density matrix
+    inside it (``fixed_points`` raises when it finds none). ``residual`` is
+    the max-entry self-consistency defect of the representative, and
+    ``solver`` the reduction used: "markov" for an interaction that carries
+    its family, "svd" for a dense V. ``interaction`` and ``rho_in`` are the
+    solved problem, held by reference, not copied.
+
+    ``unique`` and ``spectrum_gap`` are derived on read. The gap,
+    1 - |second largest eigenvalue| of the reduced matrix, is a convergence
+    diagnostic that no solve depends on, so the reduced matrix is rebuilt
+    and its eigenvalues taken on the first read only.
     """
 
     fixed_space_dim: int
-    unique: bool
     residual: float
-    spectrum_gap: float
-    representative: DensityMatrix | None
-    basis: list[np.ndarray] = field(default_factory=list)
-    solver: str = "svd"
+    representative: DensityMatrix
+    basis: list[np.ndarray]
+    solver: str
+    interaction: DeutschInteraction
+    rho_in: DensityMatrix
+
+    @property
+    def unique(self) -> bool:
+        return self.fixed_space_dim == 1
+
+    @cached_property
+    def spectrum_gap(self) -> float:
+        t = _reduced_form(self.interaction, self.rho_in)[0]
+        moduli = np.sort(np.abs(np.linalg.eigvals(t)))[::-1]
+        if moduli.size < 2:
+            return 1.0
+        return float(1.0 - moduli[1])
 
 
 def _family_array(dim: int, family) -> np.ndarray:
@@ -189,7 +205,7 @@ def controlled_family(dim: int, family: list[np.ndarray]) -> np.ndarray:
     return _block_diagonal(_family_array(dim, family))
 
 
-def swap_then_control(dim: int, family: list[np.ndarray]) -> DeutschInteraction:
+def swap_then_control(dim: int, family: list[np.ndarray] | np.ndarray) -> DeutschInteraction:
     """Interaction that swaps system and CTC, then applies the controlled family.
 
     This is the canonical distinguisher circuit shape: V = C(U_0..U_{d-1}) * SWAP
@@ -329,14 +345,6 @@ def _density_representative(
     return None
 
 
-def _spectrum_gap(t: np.ndarray) -> float:
-    # Diagnostic only; the fixed space itself always comes from an SVD.
-    moduli = np.sort(np.abs(np.linalg.eigvals(t)))[::-1]
-    if moduli.size < 2:
-        return 1.0
-    return float(1.0 - moduli[1])
-
-
 def fixed_points(
     ix: DeutschInteraction,
     rho_in: DensityMatrix,
@@ -354,16 +362,16 @@ def fixed_points(
     values at or below ``fp_tol * max(sigma_max, 1)`` counted as zero, and
     lifted back to operators. The fixed-point space dimension, a spanning
     operator basis (each element of unit norm), and a density-matrix
-    representative are reported. ``unique`` is true iff the space is
-    one-dimensional.
+    representative are reported. The solve costs one SVD of T - I; no
+    eigenvalues are taken unless ``spectrum_gap`` is read.
 
     ``select_max_entropy`` additionally replaces the representative of a
     non-unique space with the maximum-entropy fixed state (an optional
     selection rule layered on top of the bare self-consistency condition;
     the ambiguity itself is still reported via ``unique``/``basis``).
     """
-    if fp_tol <= 0:
-        raise ValueError("fp_tol must be positive")
+    if not 0.0 < fp_tol < np.inf:
+        raise ValueError("fp_tol must be finite and positive")
     _check_input_dim(ix, rho_in)
     d = ix.d_ctc
     t, start, lift, ctc_map, solver = _reduced_form(ix, rho_in)
@@ -387,12 +395,12 @@ def fixed_points(
     rho = representative.matrix
     return FixedPointResult(
         fixed_space_dim=dim,
-        unique=(dim == 1),
         residual=float(np.abs(ctc_map(rho) - rho).max()),
-        spectrum_gap=_spectrum_gap(t),
         representative=representative,
         basis=basis,
         solver=solver,
+        interaction=ix,
+        rho_in=rho_in,
     )
 
 
@@ -508,7 +516,6 @@ def evolve(
     fp = fixed_points(ix, rho_in, fp_tol)
     if not fp.unique:
         raise NonUniqueFixedPointError(fp)
-    assert fp.representative is not None
     _check_self_consistency(fp.residual)
     if ix.family is not None:
         return _family_output(ix.family, rho_in, fp.representative), fp

@@ -26,16 +26,16 @@ import numpy as np
 from .deutsch import (
     DeutschInteraction,
     FixedPointResult,
+    _family_array,
     evolve,
     swap_then_control,
 )
-from .qlinalg import PureState, basis_ket, is_unitary
+from .qlinalg import PureState, basis_ket
 
 DEFAULT_SPAN_TOL = 1e-8
 DEFAULT_DISTINCT_TOL = 1e-6
 _COND1_TOL = 1e-9
 _FLOOR_MIN = 1e-9
-_UNITARY_TOL = 1e-10
 
 
 class ConstructionError(RuntimeError):
@@ -79,26 +79,15 @@ class ConstructionTrace:
 
 @dataclass(frozen=True, eq=False)
 class UnitaryFamily:
-    """The unitaries {U_k} of a distinguisher, plus construction traces."""
+    """The unitaries {U_k} of a distinguisher, plus construction traces;
+    ``unitaries`` is checked and held as one read-only (dim, dim, dim) array."""
 
     dim: int
-    unitaries: tuple[np.ndarray, ...]
+    unitaries: np.ndarray
     traces: tuple[ConstructionTrace, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        if len(self.unitaries) != self.dim:
-            raise ValueError(f"need {self.dim} unitaries, got {len(self.unitaries)}")
-        frozen = []
-        for k, u in enumerate(self.unitaries):
-            u = np.asarray(u, dtype=complex)
-            if u.shape != (self.dim, self.dim):
-                raise ValueError(f"unitary {k} has shape {u.shape}")
-            if not is_unitary(u, _UNITARY_TOL):
-                raise ValueError(f"family member {k} is not unitary within 1e-10")
-            u = u.copy()
-            u.setflags(write=False)
-            frozen.append(u)
-        object.__setattr__(self, "unitaries", tuple(frozen))
+        object.__setattr__(self, "unitaries", _family_array(self.dim, self.unitaries))
 
 
 @dataclass(frozen=True)
@@ -275,18 +264,16 @@ def verify_family(s: StateSet, fam: UnitaryFamily) -> VerificationReport:
     """Recompute both sufficiency conditions for a family against a state set.
 
     Pure report: cond1_residual = max_k || U_k |psi_k> - |k> || and
-    floor_margin = min_{j,k} |<j| U_k |psi_j>|.
+    floor_margin = min_{j,k} |<j| U_k |psi_j>|, read from the products U_k X
+    (states as columns): column k and the diagonal of slice k.
     """
     if fam.dim != s.dim:
         raise ValueError("family and state set dimensions differ")
-    x = np.stack(s.vectors(), axis=1)
-    cond1 = 0.0
-    floor = np.inf
-    for k, u in enumerate(fam.unitaries):
-        ux = u @ x
-        cond1 = max(cond1, float(np.linalg.norm(ux[:, k] - basis_ket(s.dim, k))))
-        floor = min(floor, float(np.abs(np.diagonal(ux)).min()))
-    return VerificationReport(floor_margin=float(floor), cond1_residual=cond1)
+    ux = fam.unitaries @ np.stack(s.vectors(), axis=1)
+    k = np.arange(s.dim)
+    cond1 = np.linalg.norm(ux[k, :, k] - np.eye(s.dim), axis=1).max()
+    floor = np.abs(np.diagonal(ux, axis1=1, axis2=2)).min()
+    return VerificationReport(floor_margin=float(floor), cond1_residual=float(cond1))
 
 
 def build_distinguisher(s: StateSet, fam: UnitaryFamily) -> DeutschInteraction:
@@ -296,7 +283,7 @@ def build_distinguisher(s: StateSet, fam: UnitaryFamily) -> DeutschInteraction:
         raise ConstructionError(
             f"family is not verified: condition 1 residual {report.cond1_residual:.3e}"
         )
-    return swap_then_control(s.dim, list(fam.unitaries))
+    return swap_then_control(s.dim, fam.unitaries)
 
 
 def classify(

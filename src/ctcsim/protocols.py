@@ -123,7 +123,7 @@ def bb84_family() -> tuple[UnitaryFamily, StateSet]:
 
 def bb84_interaction() -> tuple[DeutschInteraction, StateSet]:
     fam, padded = bb84_family()
-    return swap_then_control(4, list(fam.unitaries)), padded
+    return swap_then_control(4, fam.unitaries), padded
 
 
 def b92_demo(fp_tol: float = 1e-9) -> dict:
@@ -140,7 +140,6 @@ def b92_demo(fp_tol: float = 1e-9) -> dict:
         label, prob, fp = classify(ix, s, j, fp_tol)
         if label != j:
             raise RuntimeError(f"B92 demo misclassified input {names[j]} as {label}")
-        assert fp.representative is not None
         rows.append(
             {
                 "input": names[j],

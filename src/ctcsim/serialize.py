@@ -99,14 +99,18 @@ def interaction_to_json(ix: DeutschInteraction) -> dict:
     return {"d_sys": ix.d_sys, "d_ctc": ix.d_ctc, "V": matrix_to_json(ix.V)}
 
 
+def _dim_from_json(obj: dict, kind: str) -> int:
+    try:
+        return int(obj["dim"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(f'{kind} file needs an integer "dim"') from exc
+
+
 def pure_states_from_json(obj) -> tuple[list[PureState], list[str] | None]:
     """Parse a state-set file: {"dim": int, "states": [vector, ...], "labels"?}."""
     if not isinstance(obj, dict) or "states" not in obj:
         raise SchemaError('state file must be an object with a "states" list')
-    try:
-        dim = int(obj["dim"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError('state file needs an integer "dim"') from exc
+    dim = _dim_from_json(obj, "state")
     states = []
     for entry in obj["states"]:
         v = vector_from_json(entry)
@@ -139,7 +143,7 @@ def input_state_from_json(obj) -> DensityMatrix:
     if not isinstance(obj, dict) or "state" not in obj:
         raise SchemaError('input state file must be an object with a "state" entry')
     rho = density_from_json(obj["state"])
-    if "dim" in obj and int(obj["dim"]) != rho.dim:
+    if "dim" in obj and _dim_from_json(obj, "input state") != rho.dim:
         raise SchemaError(f'declared dim {obj["dim"]} does not match state dim {rho.dim}')
     return rho
 
@@ -162,7 +166,7 @@ def ensemble_from_json(obj) -> Ensemble:
         ens = Ensemble(priors=tuple(float(p) for p in priors), states=tuple(states))
     except ValueError as exc:
         raise SchemaError(f"invalid ensemble: {exc}") from exc
-    if "dim" in obj and int(obj["dim"]) != ens.dim:
+    if "dim" in obj and _dim_from_json(obj, "ensemble") != ens.dim:
         raise SchemaError(f'declared dim {obj["dim"]} does not match state dim {ens.dim}')
     return ens
 
@@ -173,9 +177,7 @@ def fixed_point_result_to_json(fp: FixedPointResult) -> dict:
         "unique": fp.unique,
         "residual": fp.residual,
         "spectrum_gap": fp.spectrum_gap,
-        "representative": None
-        if fp.representative is None
-        else matrix_to_json(fp.representative.matrix),
+        "representative": matrix_to_json(fp.representative.matrix),
         "basis": [matrix_to_json(b) for b in fp.basis],
         "solver": fp.solver,
     }

@@ -26,6 +26,13 @@ def write_state_file(path, vectors, dim=None):
     return str(path)
 
 
+def write_two_state_family(path) -> str:
+    dump_json({"d": 2, "family": [matrix_to_json(identity(2)),
+                                  matrix_to_json(np.array([[1, 1], [1, -1]]) / np.sqrt(2))]},
+              path)
+    return str(path)
+
+
 @pytest.fixture
 def b92_states_file(tmp_path):
     return write_state_file(tmp_path / "b92.json", [basis_ket(2, 0), minus_ket()])
@@ -122,6 +129,12 @@ class TestDistinguishCommand:
     def test_missing_file(self):
         assert main(["distinguish", "--states", "/nonexistent/states.json"]) == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("flag", ["--fp-tol", "--span-tol", "--distinct-tol"])
+    def test_non_finite_tolerance_is_input_error(self, b92_states_file, capsys, flag, value):
+        assert main(["distinguish", "--states", b92_states_file, flag, value]) == 2
+        assert "finite" in capsys.readouterr().err
+
 
 class TestFixedPointCommand:
     def test_two_state_circuit_on_zero(self, tmp_path, capsys):
@@ -167,6 +180,14 @@ class TestFixedPointCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["result"]["fixed_space_dim"] == 4
         assert report["result"]["unique"] is False
+
+    @pytest.mark.parametrize("dim", [None, "two"])
+    def test_non_integer_input_dim_is_input_error(self, tmp_path, capsys, dim):
+        ix_file = write_two_state_family(tmp_path / "ix.json")
+        in_file = tmp_path / "in.json"
+        dump_json({"dim": dim, "state": vector_to_json(basis_ket(2, 0))}, in_file)
+        assert main(["fixed-point", "--interaction", ix_file, "--input", str(in_file)]) == 2
+        assert 'integer "dim"' in capsys.readouterr().err
 
     def test_mixed_input_state(self, tmp_path, capsys):
         ix_file = tmp_path / "ix.json"
@@ -215,6 +236,10 @@ class TestQkdCommand:
 
     def test_zero_signals_is_input_error(self):
         assert main(["qkd", "--protocol", "bb84", "--signals", "0"]) == 2
+
+    def test_negative_seed_is_input_error(self, capsys):
+        assert main(["qkd", "--protocol", "bb84", "--seed", "-1"]) == 2
+        assert "--seed" in capsys.readouterr().err
 
     def test_ctc_session_does_not_import_scipy(self):
         # scipy serves only the maximum-entropy selection; importing it
@@ -265,6 +290,15 @@ class TestHolevoCommand:
         # fixed space is ambiguous and the receiver cannot classify
         assert main(["holevo", "--states", bb84_states_file, "--fp-tol", "1.0"]) == 1
         assert "ambiguous" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dim", [None, "two"])
+    def test_non_integer_ensemble_dim_is_input_error(self, tmp_path, capsys, dim):
+        path = tmp_path / "ensemble.json"
+        dump_json({"dim": dim, "priors": [0.5, 0.5],
+                   "states": [vector_to_json(basis_ket(2, 0)), vector_to_json(minus_ket())]},
+                  path)
+        assert main(["holevo", "--states", str(path)]) == 2
+        assert 'integer "dim"' in capsys.readouterr().err
 
     def test_nonuniform_priors_rejected(self, bb84_states_file, capsys):
         assert main(["holevo", "--states", bb84_states_file,

@@ -257,6 +257,11 @@ class TestFixedPoints:
         with pytest.raises(ValueError, match="fp_tol"):
             fixed_points(two_state_circuit, proj(KET0), fp_tol=0.0)
 
+    @pytest.mark.parametrize("fp_tol", [np.nan, np.inf])
+    def test_rejects_non_finite_tolerance(self, two_state_circuit, fp_tol):
+        with pytest.raises(ValueError, match="fp_tol must be finite"):
+            fixed_points(two_state_circuit, proj(KET0), fp_tol=fp_tol)
+
     def test_max_entropy_selection(self):
         # controlled-X dephases the CTC qubit for a |+> input: the fixed space
         # is span{I, X} and the maximum-entropy fixed state is I/2
@@ -328,6 +333,72 @@ class TestEvolve:
                 out.matrix, output_state(ix, rho_in, fp.representative).matrix,
                 rtol=0, atol=1e-12,
             )
+
+
+def eager_gap(t: np.ndarray) -> float:
+    """1 - |second largest eigenvalue| of T, taken at once."""
+    moduli = np.sort(np.abs(np.linalg.eigvals(t)))[::-1]
+    return float(1.0 - moduli[1])
+
+
+def chain_matrix(ix: DeutschInteraction, rho_in: DensityMatrix) -> np.ndarray:
+    """A_mk = (U_k rho_in U_k^dag)_mm, held as complex as the solver holds it."""
+    us = ix.family
+    w = us @ rho_in.matrix @ us.conj().transpose(0, 2, 1)
+    return np.diagonal(w, axis1=1, axis2=2).real.T.astype(complex)
+
+
+def refuse_eigensolve(*args, **kwargs):
+    raise AssertionError("an eigensolve ran")
+
+
+@pytest.fixture(params=["markov", "svd"])
+def both_forms(request, two_state_circuit) -> DeutschInteraction:
+    """The two-state circuit as its family, then as its dense V."""
+    if request.param == "markov":
+        return two_state_circuit
+    return DeutschInteraction(2, 2, two_state_circuit.V)
+
+
+class TestLazySpectrumGap:
+    """A solve decides by one SVD; the eigenvalues behind ``spectrum_gap``
+    are taken on its first read and never again."""
+
+    def test_evolution_takes_no_eigenvalues(self, both_forms, monkeypatch):
+        monkeypatch.setattr(np.linalg, "eigvals", refuse_eigensolve)
+        out, fp = evolve(both_forms, proj(KET0))
+        assert fp.unique
+        np.testing.assert_allclose(out.matrix, np.outer(KET0, KET0), atol=1e-12)
+        gap = nonlinearity_gap(both_forms, proj(KET0), proj(plus_ket()), 0.5)
+        assert gap == pytest.approx(0.10206207261596581, abs=1e-9)
+
+    def test_gap_equals_eager_reference(self, rng):
+        for d in (2, 3, 5):
+            ix = swap_then_control(d, [random_unitary(rng, d) for _ in range(d)])
+            dense = DeutschInteraction(d, d, ix.V)
+            rho_in = DensityMatrix(random_density(rng, d))
+            assert fixed_points(ix, rho_in).spectrum_gap == eager_gap(chain_matrix(ix, rho_in))
+            assert fixed_points(dense, rho_in).spectrum_gap == eager_gap(
+                induced_map(dense, rho_in)
+            )
+        ix = random_interaction(rng, 2, 4)
+        rho_in = DensityMatrix(random_density(rng, 2))
+        assert fixed_points(ix, rho_in).spectrum_gap == eager_gap(induced_map(ix, rho_in))
+
+    def test_second_read_runs_no_eigensolve(self, both_forms, monkeypatch):
+        calls = []
+        original = np.linalg.eigvals
+
+        def counting(a):
+            calls.append(1)
+            return original(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counting)
+        fp = fixed_points(both_forms, proj(KET0))
+        assert calls == []
+        assert fp.spectrum_gap == pytest.approx(0.5, abs=1e-9)
+        assert fp.spectrum_gap == pytest.approx(0.5, abs=1e-9)
+        assert len(calls) == 1
 
 
 class TestCesaroIterate:

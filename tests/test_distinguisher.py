@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import haar_state, haar_state_set, random_density
+from conftest import haar_state, haar_state_set, random_density, random_unitary
 import ctcsim.deutsch as deutsch
+import ctcsim.infotheory as infotheory
 from ctcsim.deutsch import DeutschInteraction, evolve, fixed_points
 from ctcsim.distinguisher import (
     DEFAULT_SPAN_TOL,
@@ -19,6 +20,7 @@ from ctcsim.distinguisher import (
     validate_state_set,
     verify_family,
 )
+from ctcsim.infotheory import Ensemble, ctc_accessible_info
 from ctcsim.qlinalg import (
     H,
     X,
@@ -261,7 +263,33 @@ class TestConstructFamily:
             np.testing.assert_allclose(u, ref_u, rtol=0, atol=1e-12)
 
 
+def verify_family_loop(s: StateSet, fam: UnitaryFamily) -> tuple[float, float]:
+    """(floor_margin, cond1_residual) by one product U_k X per k: the loop
+    that the batched ``verify_family`` replaced, kept as its reference."""
+    x = np.stack(s.vectors(), axis=1)
+    cond1, floor = 0.0, np.inf
+    for k, u in enumerate(fam.unitaries):
+        ux = u @ x
+        cond1 = max(cond1, float(np.linalg.norm(ux[:, k] - basis_ket(s.dim, k))))
+        floor = min(floor, float(np.abs(np.diagonal(ux)).min()))
+    return floor, cond1
+
+
 class TestVerifyFamily:
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_batched_matches_loop(self, rng, d):
+        # the products are the loop's own, so the floor is equal; the norm
+        # behind condition 1 sums in another order, so it may differ in the
+        # last place (relative tolerance of a few float64 epsilons)
+        for _ in range(5):
+            s = haar_state_set(rng, d)
+            for fam in (construct_family(s),
+                        UnitaryFamily(dim=d, unitaries=[random_unitary(rng, d) for _ in range(d)])):
+                report = verify_family(s, fam)
+                floor, cond1 = verify_family_loop(s, fam)
+                assert report.floor_margin == floor
+                assert report.cond1_residual == pytest.approx(cond1, rel=4 * np.finfo(float).eps)
+
     def test_hand_built_four_state_family(self):
         # SWAP, X(x)X, XH(x)I, (X(x)H)SWAP against |00>, |10>, |+0>, |-0>
         s = pad_with_ancilla(bb84_qubit_states(), 4)
@@ -442,3 +470,34 @@ class TestMarkovRoute:
         assert [classify(ix, s, j)[0] for j in range(5)] == list(range(5))
         with pytest.raises(AssertionError, match="V was built"):
             ix.V
+
+
+def refuse_eigensolve(*args, **kwargs):
+    raise AssertionError("an eigensolve ran")
+
+
+class TestNoEigensolve:
+    """Classification reads only the SVD decision; no caller on this path
+    reads ``spectrum_gap``, so no eigenvalues are taken."""
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["markov", "svd"])
+    def test_classify(self, rng, monkeypatch, dense):
+        s = haar_state_set(rng, 4)
+        ix = build_distinguisher(s, construct_family(s))
+        if dense:
+            ix = DeutschInteraction(4, 4, ix.V)
+        monkeypatch.setattr(np.linalg, "eigvals", refuse_eigensolve)
+        assert [classify(ix, s, j)[0] for j in range(4)] == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["markov", "svd"])
+    def test_ctc_accessible_info(self, monkeypatch, dense):
+        if dense:
+            build = infotheory.build_distinguisher
+
+            def build_dense(s, fam):
+                return DeutschInteraction(s.dim, s.dim, build(s, fam).V)
+
+            monkeypatch.setattr(infotheory, "build_distinguisher", build_dense)
+        monkeypatch.setattr(np.linalg, "eigvals", refuse_eigensolve)
+        ens = Ensemble.uniform_pure([ZERO, ONE, PLUS, MINUS])
+        assert ctc_accessible_info(ens, 4) == pytest.approx(2.0, abs=1e-9)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_density, random_unitary
-from ctcsim.deutsch import FixedPointResult
+from ctcsim.deutsch import FixedPointResult, swap_then_control
 from ctcsim.distinguisher import UnitaryFamily, construct_family, validate_state_set
 from ctcsim.infotheory import Ensemble
 from ctcsim.protocols import bb84_protocol
@@ -221,7 +221,8 @@ ARRAY_HOLDERS = {
     "ConstructionTrace": lambda: construct_family(two_state_set()).traces[0],
     "UnitaryFamily": lambda: UnitaryFamily(dim=2, unitaries=(identity(2), H)),
     "FixedPointResult": lambda: FixedPointResult(
-        1, True, 0.0, 1.0, mixed_qubit(), [np.eye(2) / np.sqrt(2)], "markov"
+        1, 0.0, mixed_qubit(), [np.eye(2) / np.sqrt(2)], "markov",
+        swap_then_control(2, [identity(2), H]), mixed_qubit(),
     ),
     "QkdProtocol": bb84_protocol,
 }
