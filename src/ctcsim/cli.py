@@ -123,10 +123,13 @@ def _cmd_distinguish(args: argparse.Namespace) -> int:
             order = [int(x) for x in args.order.split(",")]
         except ValueError as exc:
             raise serialize.SchemaError(f"bad --order value: {args.order!r}") from exc
+        if sorted(order) != list(range(s.dim)):
+            raise serialize.SchemaError(
+                f"bad --order value: {args.order!r} is not a permutation of 0..{s.dim - 1}"
+            )
     family = distinguisher.construct_family(s, order=order, span_tol=args.span_tol)
-    report_fam = distinguisher.verify_family(s, family)
-    ix = distinguisher.build_distinguisher(s, family)
-    rows = distinguisher.classification_table(ix, s, args.fp_tol)
+    report_fam = family.report
+    rows = distinguisher.classification_table(family.interaction, s, args.fp_tol)
     for row in rows:
         if labels:
             row["name"] = labels[row["j"]]

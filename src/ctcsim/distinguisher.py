@@ -23,13 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .deutsch import (
-    DeutschInteraction,
-    FixedPointResult,
-    _family_array,
-    evolve,
-    swap_then_control,
-)
+from .deutsch import DeutschInteraction, FixedPointResult, evolve, swap_then_control
 from .qlinalg import PureState, basis_ket
 
 DEFAULT_SPAN_TOL = 1e-8
@@ -77,23 +71,30 @@ class ConstructionTrace:
     groups: tuple[tuple[int, tuple[int, ...], int], ...]
 
 
-@dataclass(frozen=True, eq=False)
-class UnitaryFamily:
-    """The unitaries {U_k} of a distinguisher, plus construction traces;
-    ``unitaries`` is checked and held as one read-only (dim, dim, dim) array."""
-
-    dim: int
-    unitaries: np.ndarray
-    traces: tuple[ConstructionTrace, ...] = field(default_factory=tuple)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "unitaries", _family_array(self.dim, self.unitaries))
-
-
 @dataclass(frozen=True)
 class VerificationReport:
     floor_margin: float
     cond1_residual: float
+
+
+@dataclass(frozen=True, eq=False)
+class UnitaryFamily:
+    """The unitaries {U_k} for the set ``states``, plus construction traces,
+    checked and verified once, when made: ``interaction`` is the
+    swap-then-control circuit (the only unitarity check), ``unitaries`` its
+    read-only (dim, dim, dim) array, ``report`` the two sufficiency conditions."""
+
+    states: StateSet
+    unitaries: np.ndarray
+    traces: tuple[ConstructionTrace, ...] = field(default_factory=tuple)
+    interaction: DeutschInteraction = field(init=False)
+    report: VerificationReport = field(init=False)
+
+    def __post_init__(self) -> None:
+        ix = swap_then_control(self.states.dim, self.unitaries)
+        object.__setattr__(self, "interaction", ix)
+        object.__setattr__(self, "unitaries", ix.family)
+        object.__setattr__(self, "report", verify_family(self.states, self))
 
 
 def validate_state_set(
@@ -235,8 +236,8 @@ def construct_family(
     so far, projects all unused states against the grown basis, and groups
     those whose residual norm is at most `span_tol` into one
     uniform-superposition output vector. Both bases are completed with
-    standard kets and U_k = C B^dag. Both sufficiency conditions are
-    verified before returning.
+    standard kets and U_k = C B^dag. The family is verified once, when it
+    is packaged, and returned only if it meets both sufficiency conditions.
     """
     n = s.dim
     if order is None:
@@ -245,8 +246,8 @@ def construct_family(
         raise ValueError("order must be a permutation of 0..N-1")
     x = np.stack(s.vectors(), axis=1)
     unitaries, traces = zip(*(_build_single_unitary(x, k, order, span_tol) for k in range(n)))
-    family = UnitaryFamily(dim=n, unitaries=unitaries, traces=traces)
-    report = verify_family(s, family)
+    family = UnitaryFamily(states=s, unitaries=unitaries, traces=traces)
+    report = family.report
     if report.cond1_residual > _COND1_TOL:
         raise ConstructionError(
             f"condition 1 residual {report.cond1_residual:.3e} exceeds {_COND1_TOL}"
@@ -267,7 +268,7 @@ def verify_family(s: StateSet, fam: UnitaryFamily) -> VerificationReport:
     floor_margin = min_{j,k} |<j| U_k |psi_j>|, read from the products U_k X
     (states as columns): column k and the diagonal of slice k.
     """
-    if fam.dim != s.dim:
+    if fam.states.dim != s.dim:
         raise ValueError("family and state set dimensions differ")
     ux = fam.unitaries @ np.stack(s.vectors(), axis=1)
     k = np.arange(s.dim)
@@ -277,13 +278,13 @@ def verify_family(s: StateSet, fam: UnitaryFamily) -> VerificationReport:
 
 
 def build_distinguisher(s: StateSet, fam: UnitaryFamily) -> DeutschInteraction:
-    """Package a verified family as the swap-then-control interaction."""
-    report = verify_family(s, fam)
+    """`fam.interaction` if `fam` meets condition 1 for `s`; re-verified only for another set."""
+    report = fam.report if fam.states is s else verify_family(s, fam)
     if report.cond1_residual > _COND1_TOL:
         raise ConstructionError(
             f"family is not verified: condition 1 residual {report.cond1_residual:.3e}"
         )
-    return swap_then_control(s.dim, fam.unitaries)
+    return fam.interaction
 
 
 def classify(

@@ -118,12 +118,12 @@ def bb84_family() -> tuple[UnitaryFamily, StateSet]:
     )
     protocol = bb84_protocol()
     padded = pad_with_ancilla(list(protocol.signal_states), 4)
-    return UnitaryFamily(dim=4, unitaries=unitaries), padded
+    return UnitaryFamily(states=padded, unitaries=unitaries), padded
 
 
 def bb84_interaction() -> tuple[DeutschInteraction, StateSet]:
     fam, padded = bb84_family()
-    return swap_then_control(4, fam.unitaries), padded
+    return fam.interaction, padded
 
 
 def b92_demo(fp_tol: float = 1e-9) -> dict:

@@ -26,11 +26,19 @@ def complex_to_pair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
+def _int_field(obj: dict, key: str, kind: str) -> int:
+    """obj[key] if it is a JSON integer; a float, string or boolean is a schema error."""
+    value = obj.get(key)
+    if type(value) is not int:
+        raise SchemaError(f'{kind} needs an integer "{key}", got {value!r}')
+    return value
+
+
 def pair_to_complex(obj) -> complex:
     if (
         not isinstance(obj, (list, tuple))
         or len(obj) != 2
-        or not all(isinstance(x, (int, float)) for x in obj)
+        or not all(type(x) in (int, float) for x in obj)
     ):
         raise SchemaError(f"expected [re, im] pair, got {obj!r}")
     return complex(obj[0], obj[1])
@@ -81,12 +89,12 @@ def interaction_from_json(obj) -> DeutschInteraction:
         raise SchemaError("interaction file must hold a JSON object")
     try:
         if "family" in obj:
-            d = int(obj["d"])
+            d = _int_field(obj, "d", "interaction")
             family = [matrix_from_json(m) for m in obj["family"]]
             return swap_then_control(d, family)
         return DeutschInteraction(
-            d_sys=int(obj["d_sys"]),
-            d_ctc=int(obj["d_ctc"]),
+            d_sys=_int_field(obj, "d_sys", "interaction"),
+            d_ctc=_int_field(obj, "d_ctc", "interaction"),
             V=matrix_from_json(obj["V"]),
         )
     except (KeyError, TypeError) as exc:
@@ -99,18 +107,11 @@ def interaction_to_json(ix: DeutschInteraction) -> dict:
     return {"d_sys": ix.d_sys, "d_ctc": ix.d_ctc, "V": matrix_to_json(ix.V)}
 
 
-def _dim_from_json(obj: dict, kind: str) -> int:
-    try:
-        return int(obj["dim"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f'{kind} file needs an integer "dim"') from exc
-
-
 def pure_states_from_json(obj) -> tuple[list[PureState], list[str] | None]:
     """Parse a state-set file: {"dim": int, "states": [vector, ...], "labels"?}."""
     if not isinstance(obj, dict) or "states" not in obj:
         raise SchemaError('state file must be an object with a "states" list')
-    dim = _dim_from_json(obj, "state")
+    dim = _int_field(obj, "dim", "state file")
     states = []
     for entry in obj["states"]:
         v = vector_from_json(entry)
@@ -143,7 +144,7 @@ def input_state_from_json(obj) -> DensityMatrix:
     if not isinstance(obj, dict) or "state" not in obj:
         raise SchemaError('input state file must be an object with a "state" entry')
     rho = density_from_json(obj["state"])
-    if "dim" in obj and _dim_from_json(obj, "input state") != rho.dim:
+    if "dim" in obj and _int_field(obj, "dim", "input state file") != rho.dim:
         raise SchemaError(f'declared dim {obj["dim"]} does not match state dim {rho.dim}')
     return rho
 
@@ -160,13 +161,13 @@ def ensemble_from_json(obj) -> Ensemble:
     priors = obj.get("priors")
     if priors is None:
         priors = [1.0 / len(states)] * len(states)
-    if not isinstance(priors, list) or not all(isinstance(p, (int, float)) for p in priors):
+    if not isinstance(priors, list) or not all(type(p) in (int, float) for p in priors):
         raise SchemaError("priors must be a list of numbers")
     try:
         ens = Ensemble(priors=tuple(float(p) for p in priors), states=tuple(states))
     except ValueError as exc:
         raise SchemaError(f"invalid ensemble: {exc}") from exc
-    if "dim" in obj and _dim_from_json(obj, "ensemble") != ens.dim:
+    if "dim" in obj and _int_field(obj, "dim", "ensemble file") != ens.dim:
         raise SchemaError(f'declared dim {obj["dim"]} does not match state dim {ens.dim}')
     return ens
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import ctcsim
+from ctcsim import deutsch, distinguisher
 from ctcsim.cli import main
 from ctcsim.deutsch import swap_then_control
 from ctcsim.qlinalg import basis_ket, identity, minus_ket, plus_ket
@@ -121,10 +122,49 @@ class TestDistinguishCommand:
         assert main(["distinguish", "--states", path]) == 1
         assert "coincide" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("order", ["0,0,1,2", "0,1", "0,1,2,9"])
+    def test_non_permutation_order_is_input_error(self, bb84_states_file, capsys, order):
+        assert main(["distinguish", "--states", bb84_states_file, "--pad", "4",
+                     "--order", order]) == 2
+        assert "bad --order value" in capsys.readouterr().err
+
+    def test_family_checked_and_verified_once(self, bb84_states_file, monkeypatch):
+        counts = {"verify_family": 0, "_family_array": 0}
+
+        def count(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        count(distinguisher, "verify_family")
+        # the distinguisher may hold its own reference to the unitarity check
+        for module in (deutsch, distinguisher):
+            if hasattr(module, "_family_array"):
+                count(module, "_family_array")
+        assert main(["distinguish", "--states", bb84_states_file, "--pad", "4"]) == 0
+        assert counts == {"verify_family": 1, "_family_array": 1}
+
     def test_schema_error(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"dim": 2}')
         assert main(["distinguish", "--states", str(bad)]) == 2
+
+    @pytest.mark.parametrize("dim", [2.5, True])
+    def test_non_integer_state_file_dim_is_input_error(self, tmp_path, capsys, dim):
+        path = write_state_file(tmp_path / "b92.json", [basis_ket(2, 0), minus_ket()], dim=dim)
+        assert main(["distinguish", "--states", path]) == 2
+        assert 'integer "dim"' in capsys.readouterr().err
+
+    def test_boolean_amplitude_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "bool.json"
+        dump_json({"dim": 2, "states": [[[True, False], [False, False]],
+                                        vector_to_json(basis_ket(2, 1))]}, path)
+        assert main(["distinguish", "--states", str(path)]) == 2
+        assert "pair" in capsys.readouterr().err
 
     def test_missing_file(self):
         assert main(["distinguish", "--states", "/nonexistent/states.json"]) == 2
@@ -181,13 +221,30 @@ class TestFixedPointCommand:
         assert report["result"]["fixed_space_dim"] == 4
         assert report["result"]["unique"] is False
 
-    @pytest.mark.parametrize("dim", [None, "two"])
+    @pytest.mark.parametrize("dim", [None, "two", 2.5, True, 2.0, "2"])
     def test_non_integer_input_dim_is_input_error(self, tmp_path, capsys, dim):
         ix_file = write_two_state_family(tmp_path / "ix.json")
         in_file = tmp_path / "in.json"
         dump_json({"dim": dim, "state": vector_to_json(basis_ket(2, 0))}, in_file)
         assert main(["fixed-point", "--interaction", ix_file, "--input", str(in_file)]) == 2
         assert 'integer "dim"' in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [
+        ("d", 2.7), ("d", "2"), ("d_sys", 2.9), ("d_ctc", 2.0), ("d_sys", True),
+    ])
+    def test_non_integer_interaction_dim_is_input_error(self, tmp_path, capsys, field, value):
+        family = [identity(2), np.array([[1, 1], [1, -1]]) / np.sqrt(2)]
+        if field == "d":
+            obj = {"d": value, "family": [matrix_to_json(u) for u in family]}
+        else:
+            obj = interaction_to_json(swap_then_control(2, family))
+            obj[field] = value
+        ix_file = tmp_path / "ix.json"
+        dump_json(obj, ix_file)
+        in_file = tmp_path / "in.json"
+        dump_json({"dim": 2, "state": vector_to_json(basis_ket(2, 0))}, in_file)
+        assert main(["fixed-point", "--interaction", str(ix_file), "--input", str(in_file)]) == 2
+        assert f'integer "{field}"' in capsys.readouterr().err
 
     def test_mixed_input_state(self, tmp_path, capsys):
         ix_file = tmp_path / "ix.json"
@@ -291,7 +348,7 @@ class TestHolevoCommand:
         assert main(["holevo", "--states", bb84_states_file, "--fp-tol", "1.0"]) == 1
         assert "ambiguous" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("dim", [None, "two"])
+    @pytest.mark.parametrize("dim", [None, "two", 2.5, True])
     def test_non_integer_ensemble_dim_is_input_error(self, tmp_path, capsys, dim):
         path = tmp_path / "ensemble.json"
         dump_json({"dim": dim, "priors": [0.5, 0.5],
@@ -299,6 +356,14 @@ class TestHolevoCommand:
                   path)
         assert main(["holevo", "--states", str(path)]) == 2
         assert 'integer "dim"' in capsys.readouterr().err
+
+    def test_boolean_priors_are_input_error(self, tmp_path, capsys):
+        path = tmp_path / "ensemble.json"
+        dump_json({"dim": 2, "priors": [True, False],
+                   "states": [vector_to_json(basis_ket(2, 0)), vector_to_json(minus_ket())]},
+                  path)
+        assert main(["holevo", "--states", str(path)]) == 2
+        assert "priors must be a list of numbers" in capsys.readouterr().err
 
     def test_nonuniform_priors_rejected(self, bb84_states_file, capsys):
         assert main(["holevo", "--states", bb84_states_file,

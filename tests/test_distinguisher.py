@@ -284,7 +284,7 @@ class TestVerifyFamily:
         for _ in range(5):
             s = haar_state_set(rng, d)
             for fam in (construct_family(s),
-                        UnitaryFamily(dim=d, unitaries=[random_unitary(rng, d) for _ in range(d)])):
+                        UnitaryFamily(states=s, unitaries=[random_unitary(rng, d) for _ in range(d)])):
                 report = verify_family(s, fam)
                 floor, cond1 = verify_family_loop(s, fam)
                 assert report.floor_margin == floor
@@ -295,7 +295,7 @@ class TestVerifyFamily:
         s = pad_with_ancilla(bb84_qubit_states(), 4)
         sw = swap_gate(2)
         fam = UnitaryFamily(
-            dim=4,
+            states=s,
             unitaries=(sw, np.kron(X, X), np.kron(X @ H, identity(2)), np.kron(X, H) @ sw),
         )
         report = verify_family(s, fam)
@@ -307,7 +307,7 @@ class TestVerifyFamily:
 
     def test_identity_family_on_basis_set(self):
         s = validate_state_set([PureState(basis_ket(2, i)) for i in range(2)])
-        fam = UnitaryFamily(dim=2, unitaries=(identity(2), identity(2)))
+        fam = UnitaryFamily(states=s, unitaries=(identity(2), identity(2)))
         report = verify_family(s, fam)
         assert report.cond1_residual == 0.0
         assert report.floor_margin == pytest.approx(1.0)
@@ -317,6 +317,18 @@ class TestVerifyFamily:
             s = haar_state_set(rng, 3)
             fam = construct_family(s)
             assert verify_family(s, fam).floor_margin > 1e-9
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_packaged_report_is_verify_family(self, rng, d):
+        fam = construct_family(haar_state_set(rng, d))
+        assert fam.report == verify_family(fam.states, fam)
+
+    def test_bb84_family_report_is_verify_family(self):
+        from ctcsim.protocols import bb84_family
+
+        fam, padded = bb84_family()
+        assert fam.states is padded
+        assert fam.report == verify_family(fam.states, fam)
 
 
 class TestBuildDistinguisher:
@@ -333,13 +345,31 @@ class TestBuildDistinguisher:
         s = validate_state_set([ZERO, MINUS])
         fam = construct_family(s)
         # swap the unitaries so condition 1 breaks
-        broken = UnitaryFamily(dim=2, unitaries=(fam.unitaries[1], fam.unitaries[0]))
+        broken = UnitaryFamily(states=s, unitaries=(fam.unitaries[1], fam.unitaries[0]))
         with pytest.raises(ConstructionError, match="not verified"):
             build_distinguisher(s, broken)
 
+    @pytest.mark.parametrize(
+        "unitaries, message",
+        [((identity(2), 2 * identity(2)), "not unitary"), ((identity(2),), "exactly 2")],
+    )
+    def test_hand_built_family_is_checked(self, unitaries, message):
+        s = validate_state_set([ZERO, MINUS])
+        with pytest.raises(ValueError, match=message):
+            UnitaryFamily(states=s, unitaries=unitaries)
+
+    def test_family_for_another_set_is_verified_against_it(self):
+        s = validate_state_set([ZERO, MINUS])
+        fam = construct_family(s)
+        # another set object with the same states is verified afresh and passes
+        assert build_distinguisher(validate_state_set([ZERO, MINUS]), fam) is fam.interaction
+        # the same states in swapped order break condition 1
+        with pytest.raises(ConstructionError, match="not verified"):
+            build_distinguisher(validate_state_set([MINUS, ZERO]), fam)
+
     def test_identity_family_classifies_basis(self):
         s = validate_state_set([PureState(basis_ket(2, i)) for i in range(2)])
-        fam = UnitaryFamily(dim=2, unitaries=(identity(2), identity(2)))
+        fam = UnitaryFamily(states=s, unitaries=(identity(2), identity(2)))
         ix = build_distinguisher(s, fam)
         for j in range(2):
             label, prob, _fp = classify(ix, s, j)

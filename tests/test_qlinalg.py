@@ -219,7 +219,7 @@ ARRAY_HOLDERS = {
     "Ensemble": lambda: Ensemble(priors=(1.0,), states=(mixed_qubit(),)),
     "StateSet": two_state_set,
     "ConstructionTrace": lambda: construct_family(two_state_set()).traces[0],
-    "UnitaryFamily": lambda: UnitaryFamily(dim=2, unitaries=(identity(2), H)),
+    "UnitaryFamily": lambda: UnitaryFamily(states=two_state_set(), unitaries=(identity(2), H)),
     "FixedPointResult": lambda: FixedPointResult(
         1, 0.0, mixed_qubit(), [np.eye(2) / np.sqrt(2)], "markov",
         swap_then_control(2, [identity(2), H]), mixed_qubit(),
