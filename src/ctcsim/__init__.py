@@ -31,6 +31,7 @@ from .protocols import (
     QkdProtocol,
     SessionStats,
     b92_demo,
+    b92_family,
     b92_protocol,
     bb84_demo,
     bb84_family,

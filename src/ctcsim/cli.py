@@ -38,7 +38,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--out", help="write the JSON report to this path")
         p.add_argument("--json", action="store_true", help="print JSON instead of a summary")
-        p.add_argument("--fp-tol", type=float, default=1e-9, help="fixed-point tolerance")
+        p.add_argument("--fp-tol", type=float, default=deutsch.DEFAULT_FP_TOL, help="fixed-point tolerance")
 
     p_demo = sub.add_parser("demo", help="run a canned discrimination demo")
     p_demo.add_argument("which", choices=["b92", "bb84"])
@@ -114,6 +114,8 @@ def _cmd_distinguish(args: argparse.Namespace) -> int:
     obj = serialize.load_json(args.states)
     states, labels = serialize.pure_states_from_json(obj)
     if args.pad is not None:
+        if args.pad < 1:
+            raise serialize.SchemaError("--pad must be at least 1")
         s = distinguisher.pad_with_ancilla(states, args.pad, args.distinct_tol)
     else:
         s = distinguisher.validate_state_set(states, args.distinct_tol)
@@ -129,12 +131,18 @@ def _cmd_distinguish(args: argparse.Namespace) -> int:
             )
     family = distinguisher.construct_family(s, order=order, span_tol=args.span_tol)
     report_fam = family.report
-    rows = distinguisher.classification_table(family.interaction, s, args.fp_tol)
-    for row in rows:
-        if labels:
-            row["name"] = labels[row["j"]]
-        if row["label"] != row["j"]:
-            raise RuntimeError(f"state {row['j']} classified as {row['label']}")
+    table = distinguisher.classification_table(family.interaction, s, args.fp_tol)
+    rows = [
+        {
+            "j": j,
+            "label": label,
+            "success_prob": prob,
+            "fixed_space_dim": fp.fixed_space_dim,
+            "residual": fp.residual,
+        }
+        | ({"name": labels[j]} if labels else {})
+        for j, (label, prob, fp) in enumerate(table)
+    ]
     result = {
         "floor_margin": report_fam.floor_margin,
         "cond1_residual": report_fam.cond1_residual,
@@ -211,9 +219,7 @@ def _cmd_holevo(args: argparse.Namespace) -> int:
     if "priors" in obj or serialize.looks_like_matrix(obj["states"][0]):
         ens = serialize.ensemble_from_json(obj)
     else:
-        states, _labels = serialize.pure_states_from_json(obj)
-        priors = tuple(1.0 / len(states) for _ in states)
-        ens = infotheory.Ensemble(priors=priors, states=tuple(st.projector() for st in states))
+        ens = infotheory.Ensemble.uniform_pure(serialize.pure_states_from_json(obj)[0])
     if args.priors is not None:
         try:
             flag_priors = tuple(float(x) for x in args.priors.split(","))

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .deutsch import DeutschInteraction, FixedPointResult, evolve, swap_then_control
+from .deutsch import DEFAULT_FP_TOL, DeutschInteraction, FixedPointResult, evolve, swap_then_control
 from .qlinalg import PureState, basis_ket
 
 DEFAULT_SPAN_TOL = 1e-8
@@ -288,7 +288,7 @@ def build_distinguisher(s: StateSet, fam: UnitaryFamily) -> DeutschInteraction:
 
 
 def classify(
-    ix: DeutschInteraction, s: StateSet, j: int, fp_tol: float = 1e-9
+    ix: DeutschInteraction, s: StateSet, j: int, fp_tol: float = DEFAULT_FP_TOL
 ) -> tuple[int, float, FixedPointResult]:
     """Run state j through the interaction and read the basis label.
 
@@ -313,19 +313,17 @@ def classify(
 
 
 def classification_table(
-    ix: DeutschInteraction, s: StateSet, fp_tol: float = 1e-9
-) -> list[dict]:
-    """Classify every state in the set; one record per index."""
-    rows = []
+    ix: DeutschInteraction, s: StateSet, fp_tol: float = DEFAULT_FP_TOL
+) -> list[tuple[int, float, FixedPointResult]]:
+    """The ``classify`` triple of every state in the set, in index order.
+
+    Raises ``ConstructionError`` at the first state j whose label is not j,
+    so every returned label equals its index.
+    """
+    table = []
     for j in range(s.dim):
         label, prob, fp = classify(ix, s, j, fp_tol)
-        rows.append(
-            {
-                "j": j,
-                "label": label,
-                "success_prob": prob,
-                "fixed_space_dim": fp.fixed_space_dim,
-                "residual": fp.residual,
-            }
-        )
-    return rows
+        if label != j:
+            raise ConstructionError(f"state {j} classified as {label}")
+        table.append((label, prob, fp))
+    return table

@@ -15,7 +15,7 @@ import numpy as np
 from .deutsch import DEFAULT_FP_TOL
 from .distinguisher import (
     build_distinguisher,
-    classify,
+    classification_table,
     construct_family,
     pad_with_ancilla,
 )
@@ -37,8 +37,8 @@ class Ensemble:
             raise ValueError("priors and states have different lengths")
         if not self.states:
             raise ValueError("ensemble is empty")
-        if any(p < 0 for p in self.priors):
-            raise ValueError("priors must be nonnegative")
+        if not all(0.0 <= p < np.inf for p in self.priors):
+            raise ValueError("priors must be finite and nonnegative")
         if abs(sum(self.priors) - 1.0) > _PRIOR_TOL:
             raise ValueError(f"priors sum to {sum(self.priors)!r}, not 1")
         dim = self.states[0].dim
@@ -103,10 +103,10 @@ def ctc_accessible_info(
     and must have exactly ``padded_dim`` members. Each state is padded with
     an all-zeros ancilla, the unitary family is constructed, and every state
     is classified through the self-consistency engine with fixed-point
-    tolerance ``fp_tol``. The result is the
-    mutual information between the source index and the classification
-    label (log2 N when classification is perfect, as the construction
-    guarantees).
+    tolerance ``fp_tol`` by ``classification_table``, which raises unless
+    state j reads label j. The result is the mutual information between
+    the source index and the classification label: log2 N, the
+    construction's perfect classification.
     """
     n = len(e.states)
     if n != padded_dim:
@@ -118,8 +118,7 @@ def ctc_accessible_info(
     family = construct_family(padded)
     ix = build_distinguisher(padded, family)
     joint = np.zeros((n, n))
-    for j in range(n):
-        label, _prob, _fp = classify(ix, padded, j, fp_tol)
+    for j, (label, _prob, _fp) in enumerate(classification_table(ix, padded, fp_tol)):
         joint[j, label] += 1.0 / n
     return _mutual_information_bits(joint)
 

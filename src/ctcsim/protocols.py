@@ -1,11 +1,13 @@
 """Concrete demonstration circuits and a prepare-and-measure QKD harness.
 
-Two canned demos show perfect discrimination of non-orthogonal states:
+Two canned circuits, each packaged as a ``UnitaryFamily``, show perfect
+discrimination of non-orthogonal states; the demos and the ``ctc``
+eavesdropper classify through ``distinguisher.classification_table``:
 
-* the two-state circuit (swap, then controlled Hadamard) telling |0> from |->
-  and thereby breaking B92, and
-* the four-state circuit with two CTC qubits telling the four BB84 signal
-  states apart after an ancilla qubit is appended.
+* ``b92_family``: the two-state circuit (swap, then controlled Hadamard)
+  telling |0> from |-> and thereby breaking B92, and
+* ``bb84_family``: the four-state circuit with two CTC qubits telling the
+  four BB84 signal states apart after an ancilla qubit is appended.
 
 The session harness plays Alice/Bob rounds over a noiseless channel with a
 pluggable eavesdropper: ``none`` (passthrough), ``ctc`` (classify each signal
@@ -22,11 +24,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .deutsch import DeutschInteraction, swap_then_control
+from .deutsch import DEFAULT_FP_TOL
 from .distinguisher import (
-    StateSet,
     UnitaryFamily,
-    classify,
+    classification_table,
     pad_with_ancilla,
     validate_state_set,
 )
@@ -95,15 +96,15 @@ def bb84_protocol() -> QkdProtocol:
     return QkdProtocol(name="BB84", signal_states=states, encoding=encoding)
 
 
-def b92_interaction() -> tuple[DeutschInteraction, StateSet]:
-    """The two-state distinguisher: swap, then controlled Hadamard."""
-    ix = swap_then_control(2, [identity(2), H])
-    s = validate_state_set([PureState(basis_ket(2, 0)), PureState(minus_ket())])
-    return ix, s
+def b92_family() -> UnitaryFamily:
+    """The two-state distinguisher for |0> and |->: swap, then controlled
+    Hadamard (U_0 = I, U_1 = H)."""
+    s = validate_state_set(list(b92_protocol().signal_states))
+    return UnitaryFamily(states=s, unitaries=(identity(2), H))
 
 
-def bb84_family() -> tuple[UnitaryFamily, StateSet]:
-    """The hand-built four-unitary family and the padded BB84 state set.
+def bb84_family() -> UnitaryFamily:
+    """The hand-built four-unitary family for the padded BB84 state set.
 
     Indexed k = 0..3 against the padded signals |00>, |10>, |+0>, |-0>:
     k=0 swaps the two qubits, k=1 flips both, k=2 applies X.H on the first,
@@ -116,64 +117,50 @@ def bb84_family() -> tuple[UnitaryFamily, StateSet]:
         np.kron(X @ H, identity(2)),
         np.kron(X, H) @ sw,
     )
-    protocol = bb84_protocol()
-    padded = pad_with_ancilla(list(protocol.signal_states), 4)
-    return UnitaryFamily(states=padded, unitaries=unitaries), padded
+    padded = pad_with_ancilla(list(bb84_protocol().signal_states), 4)
+    return UnitaryFamily(states=padded, unitaries=unitaries)
 
 
-def bb84_interaction() -> tuple[DeutschInteraction, StateSet]:
-    fam, padded = bb84_family()
-    return fam.interaction, padded
-
-
-def b92_demo(fp_tol: float = 1e-9) -> dict:
+def b92_demo(fp_tol: float = DEFAULT_FP_TOL) -> dict:
     """Classify both B92 signals through the two-state circuit.
 
     Raises on any misclassification or fixed-point ambiguity; the report
     carries per-input labels, success probabilities, CTC states, and
     fixed-point diagnostics.
     """
-    ix, s = b92_interaction()
-    names = ["|0>", "|->"]
-    rows = []
-    for j in range(2):
-        label, prob, fp = classify(ix, s, j, fp_tol)
-        if label != j:
-            raise RuntimeError(f"B92 demo misclassified input {names[j]} as {label}")
-        rows.append(
-            {
-                "input": names[j],
-                "label": label,
-                "success_prob": prob,
-                "fixed_space_dim": fp.fixed_space_dim,
-                "unique": fp.unique,
-                "residual": fp.residual,
-                "ctc_diag": [float(v) for v in np.real(np.diag(fp.representative.matrix))],
-            }
-        )
+    fam = b92_family()
+    table = classification_table(fam.interaction, fam.states, fp_tol)
+    rows = [
+        {
+            "input": name,
+            "label": label,
+            "success_prob": prob,
+            "fixed_space_dim": fp.fixed_space_dim,
+            "unique": fp.unique,
+            "residual": fp.residual,
+            "ctc_diag": [float(v) for v in np.real(np.diag(fp.representative.matrix))],
+        }
+        for name, (label, prob, fp) in zip(["|0>", "|->"], table)
+    ]
     return {"circuit": "swap + controlled-Hadamard", "classifications": rows}
 
 
-def bb84_demo(fp_tol: float = 1e-9) -> dict:
+def bb84_demo(fp_tol: float = DEFAULT_FP_TOL) -> dict:
     """Classify all four padded BB84 signals and decode (a, b) label bits.
 
     Output label ab decodes as: a = 0 means a Z eigenstate, a = 1 an X
     eigenstate, in both cases with eigenvalue (-1)^b. Raises on any
     misclassification.
     """
-    ix, padded = bb84_interaction()
-    names = ["|00>", "|10>", "|+0>", "|-0>"]
-    expected_map = {0: "|00>", 1: "|01>", 2: "|10>", 3: "|11>"}
+    fam = bb84_family()
+    table = classification_table(fam.interaction, fam.states, fp_tol)
     rows = []
-    for j in range(4):
-        label, prob, fp = classify(ix, padded, j, fp_tol)
-        if label != j:
-            raise RuntimeError(f"BB84 demo misclassified input {names[j]} as label {label}")
+    for name, (label, prob, fp) in zip(["|00>", "|10>", "|+0>", "|-0>"], table):
         a, b = divmod(label, 2)
         rows.append(
             {
-                "input": names[j],
-                "output": expected_map[label],
+                "input": name,
+                "output": f"|{a}{b}>",
                 "label": label,
                 "a": a,
                 "b": b,
@@ -193,26 +180,6 @@ def _outcome_one_table(kets: list[np.ndarray]) -> np.ndarray:
     in Z (basis 0) or X (basis 1)."""
     targets = np.stack([basis_ket(2, 1), minus_ket()])
     return np.abs(np.stack(kets) @ targets.conj().T) ** 2
-
-
-def _ctc_labeler(protocol: QkdProtocol) -> np.ndarray:
-    """Classification label of each signal state through the CTC distinguisher.
-
-    Classification is deterministic, so each of the protocol's signal states
-    is pushed through the engine once and the labels are reused per round.
-    The labels are required to reproduce the preparation indices exactly.
-    """
-    if protocol.name == "B92":
-        ix, s = b92_interaction()
-    else:
-        ix, s = bb84_interaction()
-    labels = []
-    for j in range(len(protocol.signal_states)):
-        label, prob, fp = classify(ix, s, j)
-        if label != j or not fp.unique:
-            raise RuntimeError("CTC eavesdropper failed to classify a signal state")
-        labels.append(label)
-    return np.array(labels)
 
 
 def _write_transcript(path: str | Path, n_signals: int, fields: dict) -> None:
@@ -269,11 +236,9 @@ def run_qkd(
         raise ValueError(f"unknown eavesdropper strategy {eve!r}")
     rng = np.random.default_rng(seed)
     bb84 = protocol.name == "BB84"
-    # encode[basis, bit] is the signal state Alice prepares, bit_of the inverse
+    # encode[basis, bit] is the signal state Alice prepares
     bases = (0, 1) if bb84 else (None,)
     encode = np.array([[protocol.state_index(bit, basis) for bit in (0, 1)] for basis in bases])
-    bit_of = np.empty(len(protocol.signal_states), dtype=int)
-    bit_of[encode] = (0, 1)
     # flying signals index the signal states, then |0> and |1> resent by Eve
     kets = [s.vector for s in protocol.signal_states] + [basis_ket(2, 0), basis_ket(2, 1)]
     p_one = _outcome_one_table(kets)
@@ -283,9 +248,10 @@ def run_qkd(
     flying = encode[0 if alice_basis is None else alice_basis, alice_bit]
     eve_label = eve_bit = None
     if eve == "ctc":
-        eve_label = _ctc_labeler(protocol)[flying]
-        eve_bit = bit_of[eve_label]
-        flying = eve_label
+        # raises unless each signal j reads label j: Eve learns the index and the bit
+        fam = bb84_family() if bb84 else b92_family()
+        classification_table(fam.interaction, fam.states)
+        eve_label, eve_bit = flying, alice_bit
     elif eve == "intercept_resend_z":
         eve_label = eve_bit = (rng.random(n_signals) < p_one[flying, 0]).astype(int)
         flying = len(protocol.signal_states) + eve_label

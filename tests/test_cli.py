@@ -128,6 +128,11 @@ class TestDistinguishCommand:
                      "--order", order]) == 2
         assert "bad --order value" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("pad", ["0", "-4"])
+    def test_non_positive_pad_is_input_error(self, bb84_states_file, capsys, pad):
+        assert main(["distinguish", "--states", bb84_states_file, "--pad", pad]) == 2
+        assert "--pad must be at least 1" in capsys.readouterr().err
+
     def test_family_checked_and_verified_once(self, bb84_states_file, monkeypatch):
         counts = {"verify_family": 0, "_family_array": 0}
 
@@ -364,6 +369,19 @@ class TestHolevoCommand:
                   path)
         assert main(["holevo", "--states", str(path)]) == 2
         assert "priors must be a list of numbers" in capsys.readouterr().err
+
+    def test_nan_priors_flag_is_input_error(self, b92_states_file, capsys):
+        assert main(["holevo", "--states", b92_states_file, "--priors", "nan,nan"]) == 2
+        assert "finite" in capsys.readouterr().err
+
+    def test_nan_priors_in_file_are_input_error(self, tmp_path, capsys):
+        path = tmp_path / "ensemble.json"
+        dump_json({"dim": 2, "priors": [float("nan"), float("nan")],
+                   "states": [vector_to_json(basis_ket(2, 0)), vector_to_json(minus_ket())]},
+                  path)
+        assert "NaN" in path.read_text()
+        assert main(["holevo", "--states", str(path)]) == 2
+        assert "finite" in capsys.readouterr().err
 
     def test_nonuniform_priors_rejected(self, bb84_states_file, capsys):
         assert main(["holevo", "--states", bb84_states_file,

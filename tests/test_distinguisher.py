@@ -326,8 +326,7 @@ class TestVerifyFamily:
     def test_bb84_family_report_is_verify_family(self):
         from ctcsim.protocols import bb84_family
 
-        fam, padded = bb84_family()
-        assert fam.states is padded
+        fam = bb84_family()
         assert fam.report == verify_family(fam.states, fam)
 
 
@@ -378,19 +377,19 @@ class TestBuildDistinguisher:
 
 class TestClassify:
     def test_two_state_circuit_minus(self):
-        from ctcsim.protocols import b92_interaction
+        from ctcsim.protocols import b92_family
 
-        ix, s = b92_interaction()
-        label, prob, fp = classify(ix, s, 1)
+        fam = b92_family()
+        label, prob, fp = classify(fam.interaction, fam.states, 1)
         assert label == 1
         assert prob >= 1 - 1e-9
         assert fp.unique
 
     def test_four_state_circuit_plus_zero(self):
-        from ctcsim.protocols import bb84_interaction
+        from ctcsim.protocols import bb84_family
 
-        ix, s = bb84_interaction()
-        label, prob, _fp = classify(ix, s, 2)
+        fam = bb84_family()
+        label, prob, _fp = classify(fam.interaction, fam.states, 2)
         assert label == 2  # binary 10
         assert prob >= 1 - 1e-9
 
@@ -399,9 +398,17 @@ class TestClassify:
             s = haar_state_set(rng, n)
             fam = construct_family(s)
             ix = build_distinguisher(s, fam)
-            rows = classification_table(ix, s)
-            assert [row["label"] for row in rows] == list(range(n))
-            assert all(row["success_prob"] >= 1 - 1e-8 for row in rows)
+            table = classification_table(ix, s)
+            assert [label for label, _prob, _fp in table] == list(range(n))
+            assert all(prob >= 1 - 1e-8 for _label, prob, _fp in table)
+
+    def test_table_raises_at_first_wrong_label(self):
+        # X, X breaks condition 1 for the basis set: |0> reads label 1
+        s = validate_state_set([PureState(basis_ket(2, i)) for i in range(2)])
+        fam = UnitaryFamily(states=s, unitaries=(X, X))
+        assert classify(fam.interaction, s, 0)[0] == 1
+        with pytest.raises(ConstructionError, match="state 0 classified as 1"):
+            classification_table(fam.interaction, s)
 
     def test_uniqueness_and_target_state(self, rng):
         # the engineered fixed point is |j><j| itself
@@ -416,11 +423,11 @@ class TestClassify:
             assert np.abs(fp.representative.matrix - target).max() <= 1e-8
 
     def test_index_out_of_range(self):
-        from ctcsim.protocols import b92_interaction
+        from ctcsim.protocols import b92_family
 
-        ix, s = b92_interaction()
+        fam = b92_family()
         with pytest.raises(ValueError, match="out of range"):
-            classify(ix, s, 5)
+            classify(fam.interaction, fam.states, 5)
 
 
 def _assert_same_solution(markov_ix, dense_ix, rho_in):

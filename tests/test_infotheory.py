@@ -165,6 +165,11 @@ class TestEnsembleValidation:
         with pytest.raises(ValueError, match="nonnegative"):
             Ensemble(priors=(1.5, -0.5), states=(DensityMatrix.maximally_mixed(2),) * 2)
 
+    @pytest.mark.parametrize("priors", [(np.nan, np.nan), (np.inf, 0.0), (0.5, np.nan)])
+    def test_rejects_non_finite_priors(self, priors):
+        with pytest.raises(ValueError, match="finite"):
+            Ensemble(priors=priors, states=(DensityMatrix.maximally_mixed(2),) * 2)
+
     def test_rejects_mixed_dimensions(self):
         with pytest.raises(ValueError, match="mismatched"):
             Ensemble(

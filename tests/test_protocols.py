@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ctcsim import cli, protocols
+from ctcsim.distinguisher import ConstructionError, UnitaryFamily
 from ctcsim.protocols import (
     EVE_STRATEGIES,
     b92_demo,
@@ -45,7 +46,7 @@ class TestDemos:
 
 class TestHandBuiltFamily:
     def test_eq_unitary_actions(self):
-        fam, padded = bb84_family()
+        fam = bb84_family()
         ket10 = np.kron(basis_ket(2, 1), basis_ket(2, 0))
         ket01 = np.kron(basis_ket(2, 0), basis_ket(2, 1))
         np.testing.assert_allclose(fam.unitaries[1] @ ket10, ket01, atol=1e-12)
@@ -56,7 +57,7 @@ class TestHandBuiltFamily:
         np.testing.assert_allclose(fam.unitaries[3] @ minus0, ket11, atol=1e-12)
 
     def test_padded_state_order(self):
-        _fam, padded = bb84_family()
+        padded = bb84_family().states
         np.testing.assert_allclose(padded.states[1].vector, np.kron(basis_ket(2, 1), basis_ket(2, 0)))
 
 
@@ -93,6 +94,14 @@ class TestRunQkd:
                 expected = protocol.state_index(rec["alice_bit"], None)
             assert rec["eve_label"] == expected
             assert not rec["error"]
+
+    def test_ctc_eavesdropper_verifies_its_family(self, monkeypatch):
+        # with U_0 and U_1 swapped, condition 1 fails and |00> no longer reads label 0
+        fam = bb84_family()
+        swapped = UnitaryFamily(states=fam.states, unitaries=fam.unitaries[[1, 0, 2, 3]])
+        monkeypatch.setattr(protocols, "bb84_family", lambda: swapped)
+        with pytest.raises(ConstructionError):
+            run_qkd(bb84_protocol(), 100, "ctc", seed=0)
 
     def test_no_eavesdropper_is_noiseless(self):
         stats = run_qkd(bb84_protocol(), 5000, "none", seed=3)
