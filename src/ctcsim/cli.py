@@ -114,8 +114,8 @@ def _cmd_distinguish(args: argparse.Namespace) -> int:
     obj = serialize.load_json(args.states)
     states, labels = serialize.pure_states_from_json(obj)
     if args.pad is not None:
-        if args.pad < 1:
-            raise serialize.SchemaError("--pad must be at least 1")
+        if args.pad < 1 or (states and args.pad % states[0].dim):
+            raise serialize.SchemaError(f"--pad must be at least 1 and a multiple of {obj['dim']}")
         s = distinguisher.pad_with_ancilla(states, args.pad, args.distinct_tol)
     else:
         s = distinguisher.validate_state_set(states, args.distinct_tol)

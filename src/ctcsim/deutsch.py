@@ -122,11 +122,9 @@ class DeutschInteraction:
     @property
     def V(self) -> np.ndarray:
         """The dense unitary, read-only. For a family it is C(U_0..U_{d-1}) SWAP,
-        built on first access: right-multiplying by SWAP only permutes
-        columns, (C SWAP)[:, i*d + j] = C[:, j*d + i]."""
+        built on first access by ``_swap_then_control_matrix``."""
         if self._V is None:
-            d, n = self.d_ctc, self.d_ctc**2
-            v = _block_diagonal(self.family).reshape(n, d, d).transpose(0, 2, 1).reshape(n, n)
+            v = _swap_then_control_matrix(self.family)
             v.setflags(write=False)
             object.__setattr__(self, "_V", v)
         return self._V
@@ -196,6 +194,16 @@ def _block_diagonal(us: np.ndarray) -> np.ndarray:
     return v.reshape(d * d, d * d)
 
 
+def _swap_then_control_matrix(us: np.ndarray) -> np.ndarray:
+    """C(U_0..U_{d-1}) SWAP in one allocation: it sends |i j> to |j> (x) U_j |i>,
+    so <j m|V|i j> = U_j[m, i] are its only nonzero entries."""
+    d = us.shape[0]
+    v = np.zeros((d, d, d, d), dtype=complex)
+    k = np.arange(d)
+    v[k, :, :, k] = us
+    return v.reshape(d * d, d * d)
+
+
 def controlled_family(dim: int, family: list[np.ndarray]) -> np.ndarray:
     """Block-diagonal controlled unitary sum_k |k><k| (x) U_k.
 
@@ -211,7 +219,8 @@ def swap_then_control(dim: int, family: list[np.ndarray] | np.ndarray) -> Deutsc
     This is the canonical distinguisher circuit shape: V = C(U_0..U_{d-1}) * SWAP
     with equal system and CTC dimensions. The interaction carries the family
     itself, each member checked for unitarity once; V is built only when
-    something asks for it, which ``fixed_points`` and ``evolve`` never do.
+    something asks for it, which ``fixed_points``, ``evolve`` and
+    ``output_state`` never do.
     """
     return DeutschInteraction(dim, dim, family=family)
 
@@ -461,6 +470,9 @@ def _max_entropy_fixed_state(lifted: np.ndarray, start: DensityMatrix) -> Densit
 def _system_output(
     ix: DeutschInteraction, rho_in: DensityMatrix, rho_ctc: DensityMatrix
 ) -> DensityMatrix:
+    """Tr_ctc[V (rho_in (x) rho_ctc) V^dag], without V when ``ix`` carries its family."""
+    if ix.family is not None:
+        return _family_output(ix.family, rho_in, rho_ctc)
     joint = ix.V @ tensor(rho_in.matrix, rho_ctc.matrix) @ dagger(ix.V)
     out = partial_trace(joint, (ix.d_sys, ix.d_ctc), keep=0)
     return DensityMatrix((out + out.conj().T) / 2.0)
@@ -490,14 +502,14 @@ def output_state(
     """Output of the chronology-respecting system, Tr_ctc[V (rho_in (x) rho_ctc) V^dag].
 
     ``rho_ctc`` must already satisfy the self-consistency condition for this
-    interaction and input (max-entry residual at most 1e-8).
+    interaction and input (max-entry residual at most 1e-8). An interaction
+    that carries its family forms neither V nor the superoperator.
     """
     if rho_in.dim != ix.d_sys or rho_ctc.dim != ix.d_ctc:
         raise ValueError("state dimensions do not match the interaction")
-    s = induced_map(ix, rho_in)
-    _check_self_consistency(
-        float(np.abs(apply_superoperator(s, rho_ctc.matrix) - rho_ctc.matrix).max())
-    )
+    ctc_map = _reduced_form(ix, rho_in)[3]
+    rho = rho_ctc.matrix
+    _check_self_consistency(float(np.abs(ctc_map(rho) - rho).max()))
     return _system_output(ix, rho_in, rho_ctc)
 
 
@@ -510,15 +522,12 @@ def evolve(
     raised ``NonUniqueFixedPointError`` carries the ``FixedPointResult`` so
     callers can inspect the ambiguity. The reduced map is built once: the
     self-consistency check that ``output_state`` makes is read from
-    ``fp.residual``, the same defect of the same map. An interaction that
-    carries its family gives its output from the family, without V.
+    ``fp.residual``, the same defect of the same map.
     """
     fp = fixed_points(ix, rho_in, fp_tol)
     if not fp.unique:
         raise NonUniqueFixedPointError(fp)
     _check_self_consistency(fp.residual)
-    if ix.family is not None:
-        return _family_output(ix.family, rho_in, fp.representative), fp
     return _system_output(ix, rho_in, fp.representative), fp
 
 

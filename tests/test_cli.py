@@ -133,6 +133,11 @@ class TestDistinguishCommand:
         assert main(["distinguish", "--states", bb84_states_file, "--pad", pad]) == 2
         assert "--pad must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("pad", ["1", "3"])
+    def test_pad_not_multiple_of_dim_is_input_error(self, bb84_states_file, capsys, pad):
+        assert main(["distinguish", "--states", bb84_states_file, "--pad", pad]) == 2
+        assert "a multiple of 2" in capsys.readouterr().err
+
     def test_family_checked_and_verified_once(self, bb84_states_file, monkeypatch):
         counts = {"verify_family": 0, "_family_array": 0}
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -143,12 +145,26 @@ class TestSwapThenControl:
         ix = swap_then_control(4, family)
         assert ix.V.shape == (16, 16)
 
-    @pytest.mark.parametrize("d", [3, 5])
-    def test_equals_dense_product_with_swap(self, rng, d):
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_equals_dense_product_with_swap(self, d, seed):
+        rng = np.random.default_rng(seed)
         family = [random_unitary(rng, d) for _ in range(d)]
         ix = swap_then_control(d, family)
         np.testing.assert_array_equal(ix.V, controlled_family(d, family) @ swap_gate(d))
         assert ix.V is ix.V and not ix.V.flags.writeable
+
+    def test_first_read_of_v_holds_one_v(self, rng):
+        d = 24
+        ix = swap_then_control(d, [random_unitary(rng, d) for _ in range(d)])
+        tracemalloc.start()
+        try:
+            v = ix.V
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * v.nbytes
 
 
 class TestInducedMap:
@@ -287,6 +303,24 @@ class TestOutputState:
     def test_rejects_inconsistent_ctc_state(self, two_state_circuit):
         with pytest.raises(ValueError, match="self-consistency"):
             output_state(two_state_circuit, proj(minus_ket()), proj(KET0))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_family_forms_neither_v_nor_s(self, monkeypatch, rng, d):
+        ix = swap_then_control(d, [random_unitary(rng, d) for _ in range(d)])
+        rho_in = DensityMatrix(random_density(rng, d))
+
+        def refuse(*args):
+            raise AssertionError("dense object built")
+
+        with monkeypatch.context() as m:
+            m.setattr(deutsch, "_swap_then_control_matrix", refuse)
+            m.setattr(deutsch, "induced_map", refuse)
+            rho_ctc = fixed_points(ix, rho_in).representative
+            out = output_state(ix, rho_in, rho_ctc)
+        dense = DeutschInteraction(d, d, ix.V)
+        np.testing.assert_allclose(
+            out.matrix, output_state(dense, rho_in, rho_ctc).matrix, rtol=0, atol=1e-12
+        )
 
 
 class TestEvolve:
@@ -528,7 +562,7 @@ class TestReductions:
         def refuse(*args):
             raise AssertionError("dense object built")
 
-        monkeypatch.setattr(deutsch, "_block_diagonal", refuse)
+        monkeypatch.setattr(deutsch, "_swap_then_control_matrix", refuse)
         monkeypatch.setattr(deutsch, "induced_map", refuse)
         fp = fixed_points(ix, proj(KET0))
         assert fp.fixed_space_dim == 2 and fp.solver == "markov"

@@ -503,7 +503,7 @@ class TestMarkovRoute:
         def refuse(us):
             raise AssertionError("V was built")
 
-        monkeypatch.setattr(deutsch, "_block_diagonal", refuse)
+        monkeypatch.setattr(deutsch, "_swap_then_control_matrix", refuse)
         assert [classify(ix, s, j)[0] for j in range(5)] == list(range(5))
         with pytest.raises(AssertionError, match="V was built"):
             ix.V
