@@ -14,7 +14,10 @@ to the input basis B the next unused state's residual against B, then
 projects every unused state onto the complement of the grown B at once; the
 states whose residuals vanish (to the span tolerance) form the step's group.
 The output basis C takes the uniform superposition of the basis kets indexed
-by each group.
+by each group. Once the sweep for a target has used the same states as the
+reference sweep (the first target's) at the same rank, both span one space
+and go on alike, so it takes the reference's columns, groups and B
+completion from there.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .qlinalg import PureState, basis_ket
 
 DEFAULT_SPAN_TOL = 1e-8
 DEFAULT_DISTINCT_TOL = 1e-6
+_SHARE_TOL = 1e-12
 _COND1_TOL = 1e-9
 _FLOOR_MIN = 1e-9
 
@@ -183,14 +187,16 @@ def _complete_basis(basis: np.ndarray, rank: int) -> np.ndarray:
     return basis
 
 
-def _build_single_unitary(
-    x: np.ndarray, k: int, order: list[int], span_tol: float
-) -> tuple[np.ndarray, ConstructionTrace]:
+def _sweep(
+    x: np.ndarray, k: int, order: list[int], span_tol: float, meet: dict
+) -> tuple[np.ndarray, np.ndarray, list, dict]:
     """One sweep for target k over the states held as the columns of x.
 
-    `resid` always holds the residuals of the unused states, in `order`,
-    against the input basis grown so far; its first column is the next
-    pick's first-pass residual.
+    Returns the uncompleted bases B and C, the groups (one per rank) and the
+    trail: the unused list at each rank while every state grouped so far lay
+    within _SHARE_TOL of the span. It stops where its trail meets `meet`,
+    another sweep's trail. The rows of `resid` hold the unused states'
+    residuals, in `order`, each new column taken off by one rank-one step.
     """
     n = x.shape[0]
     b = np.zeros((n, n), dtype=complex)
@@ -199,28 +205,28 @@ def _build_single_unitary(
     c[k, 0] = 1.0
     groups: list[tuple[int, tuple[int, ...], int]] = [(1, (k,), 1)]
     unused = [i for i in order if i != k]
-    resid = _project_out(x[:, unused], b[:, :1])
+    resid = _project_out(x[:, unused], b[:, :1]).T.copy()
     rank = 1
-    while unused:
-        if np.linalg.norm(resid[:, 0]) <= span_tol:
+    trail = {1: unused}
+    while unused and not (rank in trail and meet.get(rank) == unused):
+        if np.linalg.norm(resid[0]) <= span_tol:
             raise ConstructionError(
                 f"state {unused[0]} lies in the current span but was not grouped; "
                 "span_tol is inconsistent"
             )
-        b[:, rank] = _reorthonormalize(resid[:, 0], b[:, :rank])
+        b[:, rank] = _reorthonormalize(resid[0], b[:, :rank])
+        resid -= np.outer(resid @ b[:, rank].conj(), b[:, rank])
         rank += 1
-        resid = _project_out(x[:, unused], b[:, :rank])
-        grouped = np.linalg.norm(resid, axis=0) <= span_tol
+        norms = np.linalg.norm(resid, axis=1)
+        grouped = norms <= span_tol
         members = [i for i, g in zip(unused, grouped) if g]
         c[members, rank - 1] = 1.0 / np.sqrt(len(members))
         groups.append((rank, tuple(members), len(members)))
         unused = [i for i, g in zip(unused, grouped) if not g]
-        resid = resid[:, ~grouped]
-    b = _complete_basis(b, rank)
-    c = _complete_basis(c, rank)
-    b.setflags(write=False)
-    c.setflags(write=False)
-    return c @ b.conj().T, ConstructionTrace(input_basis=b, output_basis=c, groups=tuple(groups))
+        if rank - 1 in trail and norms[grouped].max(initial=0.0) <= _SHARE_TOL:
+            trail[rank] = unused
+        resid = resid[~grouped]
+    return b, c, groups, trail
 
 
 def construct_family(
@@ -236,8 +242,11 @@ def construct_family(
     so far, projects all unused states against the grown basis, and groups
     those whose residual norm is at most `span_tol` into one
     uniform-superposition output vector. Both bases are completed with
-    standard kets and U_k = C B^dag. The family is verified once, when it
-    is packaged, and returned only if it meets both sufficiency conditions.
+    standard kets and U_k = C B^dag. Only the sweep for order[0] runs in
+    full: each other sweep stops where it meets it (see `_sweep`) and takes
+    the rest of B, C's swept columns and the groups from it, or else runs to
+    its end. The family is verified once, when it is packaged, and returned
+    only if it meets both sufficiency conditions.
     """
     n = s.dim
     if order is None:
@@ -245,8 +254,25 @@ def construct_family(
     if sorted(order) != list(range(n)):
         raise ValueError("order must be a permutation of 0..N-1")
     x = np.stack(s.vectors(), axis=1)
-    unitaries, traces = zip(*(_build_single_unitary(x, k, order, span_tol) for k in range(n)))
-    family = UnitaryFamily(states=s, unitaries=unitaries, traces=traces)
+    ref_b, ref_c, ref_groups, ref_trail = _sweep(x, order[0], order, span_tol, {})
+    full = len(ref_groups)
+    _complete_basis(ref_b, full)
+    unitaries, traces = [], []
+    for k in range(n):
+        b, c, groups, trail = _sweep(x, k, order, span_tol, ref_trail)
+        rank = len(groups)
+        if rank in trail and ref_trail.get(rank) == trail[rank]:
+            b[:, rank:] = ref_b[:, rank:]
+            c[:, rank:full] = ref_c[:, rank:full]
+            groups += ref_groups[rank:]
+        else:  # the tolerance split this sweep's span from the reference's
+            _complete_basis(b, rank)
+        _complete_basis(c, len(groups))
+        b.setflags(write=False)
+        c.setflags(write=False)
+        unitaries.append(c @ b.conj().T)
+        traces.append(ConstructionTrace(input_basis=b, output_basis=c, groups=tuple(groups)))
+    family = UnitaryFamily(states=s, unitaries=unitaries, traces=tuple(traces))
     report = family.report
     if report.cond1_residual > _COND1_TOL:
         raise ConstructionError(

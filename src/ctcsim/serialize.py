@@ -104,6 +104,9 @@ def interaction_from_json(obj) -> DeutschInteraction:
 
 
 def interaction_to_json(ix: DeutschInteraction) -> dict:
+    """The family form if `ix` carries its family (V is not formed), else the raw form."""
+    if ix.family is not None:
+        return {"d": ix.d_ctc, "family": [matrix_to_json(u) for u in ix.family]}
     return {"d_sys": ix.d_sys, "d_ctc": ix.d_ctc, "V": matrix_to_json(ix.V)}
 
 

@@ -10,7 +10,7 @@ import pytest
 import ctcsim
 from ctcsim import deutsch, distinguisher
 from ctcsim.cli import main
-from ctcsim.deutsch import swap_then_control
+from ctcsim.deutsch import DeutschInteraction, swap_then_control
 from ctcsim.qlinalg import basis_ket, identity, minus_ket, plus_ket
 from ctcsim.serialize import (
     dump_json,
@@ -208,7 +208,8 @@ class TestFixedPointCommand:
         family_file = tmp_path / "family.json"
         dump_json({"d": 2, "family": [matrix_to_json(u) for u in family]}, family_file)
         dense_file = tmp_path / "dense.json"
-        dump_json(interaction_to_json(swap_then_control(2, family)), dense_file)
+        dense = DeutschInteraction(2, 2, swap_then_control(2, family).V)
+        dump_json(interaction_to_json(dense), dense_file)
         results = {}
         for ix_file in (family_file, dense_file):
             assert main(["fixed-point", "--interaction", str(ix_file),
@@ -247,7 +248,7 @@ class TestFixedPointCommand:
         if field == "d":
             obj = {"d": value, "family": [matrix_to_json(u) for u in family]}
         else:
-            obj = interaction_to_json(swap_then_control(2, family))
+            obj = interaction_to_json(DeutschInteraction(2, 2, swap_then_control(2, family).V))
             obj[field] = value
         ix_file = tmp_path / "ix.json"
         dump_json(obj, ix_file)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import haar_state, haar_state_set, random_density, random_unitary
 import ctcsim.deutsch as deutsch
+import ctcsim.distinguisher as distinguisher
 import ctcsim.infotheory as infotheory
 from ctcsim.deutsch import DeutschInteraction, evolve, fixed_points
 from ctcsim.distinguisher import (
@@ -261,6 +262,64 @@ class TestConstructFamily:
             for got, want in ((trace.input_basis, ref_b), (trace.output_basis, ref_c)):
                 np.testing.assert_allclose(got, np.stack(want, axis=1), rtol=0, atol=1e-12)
             np.testing.assert_allclose(u, ref_u, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "state_dim, order_seed",
+        # a Haar set in reversed and in a seeded random order, and qubit
+        # states padded to 16 dimensions in a seeded random order
+        [(16, None), (16, 5), (2, 6)],
+        ids=["haar-reversed", "haar-random", "padded-random"],
+    )
+    def test_sixteen_states_match_reference_sweep(self, state_dim, order_seed):
+        rng = np.random.default_rng(16)
+        s = padded_haar_set(rng, state_dim, 16 // state_dim)
+        if order_seed is None:
+            order = list(range(15, -1, -1))
+        else:
+            order = [int(i) for i in np.random.default_rng(order_seed).permutation(16)]
+        fam = construct_family(s, order=order)
+        assert_matches_reference_sweep(s, fam, order, DEFAULT_SPAN_TOL)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5, 7, 8, 9, 10])
+    def test_loose_span_tol_matches_reference_sweep(self, seed):
+        # a loose tolerance groups states that lie off the span, so sweeps
+        # that used the same states may span different spaces: of one rank
+        # on seeds 0, 1, 4, 5 and 10, of different ranks on 2, 3, 7, 8, 9, 10
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 7))
+        s = haar_state_set(rng, n)
+        span_tol = float(rng.uniform(0.2, 0.7))
+        order = [int(i) for i in rng.permutation(n)]
+        fam = construct_family(s, order=order, span_tol=span_tol)
+        assert_matches_reference_sweep(s, fam, order, span_tol)
+
+    def test_sweeps_share_the_reference_suffix(self, rng, monkeypatch):
+        # sweep k of the identity order meets the sweep for state 0 at rank
+        # k + 1, so the sweeps form 15 + (1 + ... + 15) = 135 new columns
+        # where sweeps from scratch form n(n - 1) = 240
+        calls = []
+        reorthonormalize = distinguisher._reorthonormalize
+
+        def counting(r, basis):
+            calls.append(basis.shape[1])
+            return reorthonormalize(r, basis)
+
+        monkeypatch.setattr(distinguisher, "_reorthonormalize", counting)
+        n = 16
+        construct_family(haar_state_set(rng, n))
+        assert len(calls) <= n * (n + 1) // 2
+
+
+def assert_matches_reference_sweep(
+    s: StateSet, fam: UnitaryFamily, order: list[int], span_tol: float
+) -> None:
+    """Every target's groups, bases and unitary equal `reference_sweep`'s within 1e-12."""
+    for k, (u, trace) in enumerate(zip(fam.unitaries, fam.traces)):
+        ref_u, ref_b, ref_c, ref_groups = reference_sweep(s.vectors(), k, order, span_tol)
+        assert trace.groups == tuple(ref_groups)
+        for got, want in ((trace.input_basis, ref_b), (trace.output_basis, ref_c)):
+            np.testing.assert_allclose(got, np.stack(want, axis=1), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(u, ref_u, rtol=0, atol=1e-12)
 
 
 def verify_family_loop(s: StateSet, fam: UnitaryFamily) -> tuple[float, float]:

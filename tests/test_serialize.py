@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import random_density
-from ctcsim.deutsch import swap_then_control
-from ctcsim.qlinalg import H, basis_ket, identity, minus_ket
+import ctcsim.deutsch as deutsch
+from ctcsim.deutsch import DeutschInteraction, fixed_points, swap_then_control
+from ctcsim.qlinalg import H, PureState, basis_ket, identity, minus_ket
 from ctcsim.serialize import (
     SchemaError,
     density_from_json,
@@ -47,10 +48,24 @@ class TestScalarAndArrayFormats:
 
 class TestInteractionFiles:
     def test_raw_form_roundtrip(self, rng):
-        ix = swap_then_control(2, [identity(2), H])
+        ix = DeutschInteraction(2, 2, swap_then_control(2, [identity(2), H]).V)
         parsed = interaction_from_json(interaction_to_json(ix))
         np.testing.assert_allclose(parsed.V, ix.V)
         assert (parsed.d_sys, parsed.d_ctc) == (2, 2)
+
+    def test_family_roundtrip_keeps_the_family(self, monkeypatch):
+        ix = swap_then_control(2, [identity(2), H])
+
+        def refuse(us):
+            raise AssertionError("V was built")
+
+        monkeypatch.setattr(deutsch, "_swap_then_control_matrix", refuse)
+        obj = interaction_to_json(ix)
+        assert set(obj) == {"d", "family"}
+        parsed = interaction_from_json(obj)
+        np.testing.assert_array_equal(parsed.family, ix.family)
+        rho = PureState(minus_ket()).projector()
+        assert fixed_points(parsed, rho).solver == fixed_points(ix, rho).solver == "markov"
 
     def test_family_form(self):
         obj = {"d": 2, "family": [matrix_to_json(identity(2)), matrix_to_json(H)]}
