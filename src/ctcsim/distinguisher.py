@@ -14,10 +14,8 @@ to the input basis B the next unused state's residual against B, then
 projects every unused state onto the complement of the grown B at once; the
 states whose residuals vanish (to the span tolerance) form the step's group.
 The output basis C takes the uniform superposition of the basis kets indexed
-by each group. Once the sweep for a target has used the same states as the
-reference sweep (the first target's) at the same rank, both span one space
-and go on alike, so it takes the reference's columns, groups and B
-completion from there.
+by each group. A sweep that has used the same states as the reference sweep
+(order[0]'s) at the same rank spans its space, so it takes the rest from it.
 """
 
 from __future__ import annotations
@@ -189,14 +187,15 @@ def _complete_basis(basis: np.ndarray, rank: int) -> np.ndarray:
 
 def _sweep(
     x: np.ndarray, k: int, order: list[int], span_tol: float, meet: dict
-) -> tuple[np.ndarray, np.ndarray, list, dict]:
+) -> tuple[np.ndarray, np.ndarray, list, dict, bool]:
     """One sweep for target k over the states held as the columns of x.
 
-    Returns the uncompleted bases B and C, the groups (one per rank) and the
-    trail: the unused list at each rank while every state grouped so far lay
-    within _SHARE_TOL of the span. It stops where its trail meets `meet`,
-    another sweep's trail. The rows of `resid` hold the unused states'
-    residuals, in `order`, each new column taken off by one rank-one step.
+    Returns the uncompleted bases B and C, the groups, the trail and whether
+    it stopped where the trail met `meet`, another sweep's trail. The trail
+    holds the unused list at each rank while the span is known to _SHARE_TOL:
+    each grouped state and each pick's direction (correct to about eps over
+    its first-pass residual norm) lie within it. `resid` holds the unused
+    states' residuals as rows, each new column taken off by a rank-one step.
     """
     n = x.shape[0]
     b = np.zeros((n, n), dtype=complex)
@@ -208,8 +207,9 @@ def _sweep(
     resid = _project_out(x[:, unused], b[:, :1]).T.copy()
     rank = 1
     trail = {1: unused}
-    while unused and not (rank in trail and meet.get(rank) == unused):
-        if np.linalg.norm(resid[0]) <= span_tol:
+    while not (met := rank in trail and meet.get(rank) == unused) and unused:
+        pick = np.linalg.norm(resid[0])
+        if pick <= span_tol:
             raise ConstructionError(
                 f"state {unused[0]} lies in the current span but was not grouped; "
                 "span_tol is inconsistent"
@@ -223,10 +223,11 @@ def _sweep(
         c[members, rank - 1] = 1.0 / np.sqrt(len(members))
         groups.append((rank, tuple(members), len(members)))
         unused = [i for i, g in zip(unused, grouped) if not g]
-        if rank - 1 in trail and norms[grouped].max(initial=0.0) <= _SHARE_TOL:
+        error = max(norms[grouped].max(initial=0.0), np.finfo(float).eps / pick)
+        if rank - 1 in trail and error <= _SHARE_TOL:
             trail[rank] = unused
         resid = resid[~grouped]
-    return b, c, groups, trail
+    return b, c, groups, trail, met
 
 
 def construct_family(
@@ -242,11 +243,10 @@ def construct_family(
     so far, projects all unused states against the grown basis, and groups
     those whose residual norm is at most `span_tol` into one
     uniform-superposition output vector. Both bases are completed with
-    standard kets and U_k = C B^dag. Only the sweep for order[0] runs in
-    full: each other sweep stops where it meets it (see `_sweep`) and takes
-    the rest of B, C's swept columns and the groups from it, or else runs to
-    its end. The family is verified once, when it is packaged, and returned
-    only if it meets both sufficiency conditions.
+    standard kets and U_k = C B^dag. Each sweep but order[0]'s stops where
+    it meets that one (see `_sweep`) and takes the rest from it. The family
+    is verified once, when it is packaged, and returned only if it meets
+    both sufficiency conditions.
     """
     n = s.dim
     if order is None:
@@ -254,19 +254,20 @@ def construct_family(
     if sorted(order) != list(range(n)):
         raise ValueError("order must be a permutation of 0..N-1")
     x = np.stack(s.vectors(), axis=1)
-    ref_b, ref_c, ref_groups, ref_trail = _sweep(x, order[0], order, span_tol, {})
-    full = len(ref_groups)
-    _complete_basis(ref_b, full)
+    ref_b, ref_c, ref_groups, ref_trail, _ = _sweep(x, order[0], order, span_tol, {})
+    _complete_basis(ref_b, len(ref_groups))
     unitaries, traces = [], []
     for k in range(n):
-        b, c, groups, trail = _sweep(x, k, order, span_tol, ref_trail)
-        rank = len(groups)
-        if rank in trail and ref_trail.get(rank) == trail[rank]:
-            b[:, rank:] = ref_b[:, rank:]
-            c[:, rank:full] = ref_c[:, rank:full]
-            groups += ref_groups[rank:]
-        else:  # the tolerance split this sweep's span from the reference's
-            _complete_basis(b, rank)
+        if k == order[0]:
+            b, c, groups = ref_b, ref_c, ref_groups
+        else:
+            b, c, groups, _, met = _sweep(x, k, order, span_tol, ref_trail)
+            rank = len(groups)
+            if met:
+                b[:, rank:], c[:, rank:] = ref_b[:, rank:], ref_c[:, rank:]
+                groups += ref_groups[rank:]
+            else:  # tolerance or rounding kept this sweep's span apart
+                _complete_basis(b, rank)
         _complete_basis(c, len(groups))
         b.setflags(write=False)
         c.setflags(write=False)
