@@ -114,7 +114,7 @@ def _cmd_distinguish(args: argparse.Namespace) -> int:
     obj = serialize.load_json(args.states)
     states, labels = serialize.pure_states_from_json(obj)
     if args.pad is not None:
-        if args.pad < 1 or (states and args.pad % states[0].dim):
+        if args.pad < 1 or args.pad % states[0].dim:
             raise serialize.SchemaError(f"--pad must be at least 1 and a multiple of {obj['dim']}")
         s = distinguisher.pad_with_ancilla(states, args.pad, args.distinct_tol)
     else:
@@ -171,6 +171,10 @@ def _cmd_distinguish(args: argparse.Namespace) -> int:
 def _cmd_fixed_point(args: argparse.Namespace) -> int:
     ix = serialize.interaction_from_json(serialize.load_json(args.interaction))
     rho_in = serialize.input_state_from_json(serialize.load_json(args.input))
+    if rho_in.dim != ix.d_sys:
+        raise serialize.SchemaError(
+            f"input state of dim {rho_in.dim} does not fit an interaction with d_sys {ix.d_sys}"
+        )
     fp = deutsch.fixed_points(ix, rho_in, args.fp_tol)
     result = serialize.fixed_point_result_to_json(fp)
     config = {"interaction": args.interaction, "input": args.input, "fp_tol": args.fp_tol}

@@ -358,7 +358,6 @@ def fixed_points(
     ix: DeutschInteraction,
     rho_in: DensityMatrix,
     fp_tol: float = DEFAULT_FP_TOL,
-    select_max_entropy: bool = False,
 ) -> FixedPointResult:
     """Solve the self-consistency condition for the CTC state.
 
@@ -373,11 +372,6 @@ def fixed_points(
     operator basis (each element of unit norm), and a density-matrix
     representative are reported. The solve costs one SVD of T - I; no
     eigenvalues are taken unless ``spectrum_gap`` is read.
-
-    ``select_max_entropy`` additionally replaces the representative of a
-    non-unique space with the maximum-entropy fixed state (an optional
-    selection rule layered on top of the bare self-consistency condition;
-    the ambiguity itself is still reported via ``unique``/``basis``).
     """
     if not 0.0 < fp_tol < np.inf:
         raise ValueError("fp_tol must be finite and positive")
@@ -399,8 +393,6 @@ def fixed_points(
             "nullspace contains no density-matrix element within the "
             "eigenvalue-clip tolerance; numerical failure"
         )
-    if select_max_entropy and dim > 1:
-        representative = _max_entropy_fixed_state(lifted, representative)
     rho = representative.matrix
     return FixedPointResult(
         fixed_space_dim=dim,
@@ -411,60 +403,6 @@ def fixed_points(
         interaction=ix,
         rho_in=rho_in,
     )
-
-
-def _hermitian_traceless_directions(lifted: np.ndarray, d: int) -> list[np.ndarray]:
-    """Orthonormal Hermitian traceless operators spanning the movable part
-    of the fixed space, whose basis ``lifted`` holds as vec columns."""
-    candidates = []
-    for col in lifted.T:
-        b = col.reshape(d, d)
-        candidates.append((b + b.conj().T) / 2.0)
-        candidates.append(1j * (b - b.conj().T) / 2.0)
-    directions: list[np.ndarray] = []
-    for c in candidates:
-        g = c - (np.trace(c).real / d) * np.eye(d)
-        for prev in directions:
-            g = g - prev * np.real(np.trace(prev.conj().T @ g))
-        norm = np.linalg.norm(g)
-        if norm > 1e-10:
-            directions.append(g / norm)
-    return directions
-
-
-def _max_entropy_fixed_state(lifted: np.ndarray, start: DensityMatrix) -> DensityMatrix:
-    """Maximum-entropy density matrix in the fixed-point space.
-
-    Entropy is strictly concave, so the maximizer over the (convex, compact)
-    set of fixed states is unique. The space, whose basis ``lifted`` holds
-    as vec columns, is parametrized by Hermitian traceless directions around
-    an interior starting point and optimized with the Nelder-Mead simplex
-    method; leaving the positive semidefinite region is fenced off by a
-    large objective value. scipy is imported here, its only use, so that
-    importing the package does not pay for it.
-    """
-    import scipy.optimize
-
-    d = start.dim
-    directions = _hermitian_traceless_directions(lifted, d)
-    if not directions:
-        return start
-    base = start.matrix
-
-    def negentropy(x: np.ndarray) -> float:
-        rho = base + sum(xi * g for xi, g in zip(x, directions))
-        values = np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)
-        if values.min() < 1e-12:
-            return 1e6 - 1e3 * float(values.min())
-        return float(np.sum(values * np.log2(values)))
-
-    res = scipy.optimize.minimize(
-        negentropy, np.zeros(len(directions)), method="Nelder-Mead",
-        options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 20000},
-    )
-    rho = base + sum(xi * g for xi, g in zip(res.x, directions))
-    out = _clip_to_density((rho + rho.conj().T) / 2.0)
-    return out if out is not None else start
 
 
 def _system_output(

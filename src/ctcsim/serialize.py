@@ -112,8 +112,8 @@ def interaction_to_json(ix: DeutschInteraction) -> dict:
 
 def pure_states_from_json(obj) -> tuple[list[PureState], list[str] | None]:
     """Parse a state-set file: {"dim": int, "states": [vector, ...], "labels"?}."""
-    if not isinstance(obj, dict) or "states" not in obj:
-        raise SchemaError('state file must be an object with a "states" list')
+    if not isinstance(obj, dict) or not obj.get("states"):
+        raise SchemaError('state file must be an object with a nonempty "states" list')
     dim = _int_field(obj, "dim", "state file")
     states = []
     for entry in obj["states"]:
@@ -126,9 +126,11 @@ def pure_states_from_json(obj) -> tuple[list[PureState], list[str] | None]:
             raise SchemaError(f"invalid state vector: {exc}") from exc
     labels = obj.get("labels")
     if labels is not None and (
-        not isinstance(labels, list) or len(labels) != len(states)
+        not isinstance(labels, list)
+        or len(labels) != len(states)
+        or not all(isinstance(x, str) for x in labels)
     ):
-        raise SchemaError("labels must match the number of states")
+        raise SchemaError("labels must be a list of strings, one per state")
     return states, labels
 
 

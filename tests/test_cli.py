@@ -11,7 +11,7 @@ import ctcsim
 from ctcsim import deutsch, distinguisher
 from ctcsim.cli import main
 from ctcsim.deutsch import DeutschInteraction, swap_then_control
-from ctcsim.qlinalg import basis_ket, identity, minus_ket, plus_ket
+from ctcsim.qlinalg import X, basis_ket, identity, minus_ket, plus_ket
 from ctcsim.serialize import (
     dump_json,
     interaction_to_json,
@@ -169,6 +169,20 @@ class TestDistinguishCommand:
         assert main(["distinguish", "--states", path]) == 2
         assert 'integer "dim"' in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra, message", [
+        ({"states": []}, 'nonempty "states"'),
+        ({"labels": {"a": 2}}, "labels must be a list of strings"),
+        ({"labels": ["zero", 1]}, "labels must be a list of strings"),
+        ({"labels": ["zero"]}, "labels must be a list of strings"),
+    ], ids=["empty-states", "label-object", "label-number", "label-count"])
+    def test_bad_state_list_is_input_error(self, tmp_path, capsys, extra, message):
+        obj = {"dim": 2, "states": [vector_to_json(basis_ket(2, 0)),
+                                    vector_to_json(minus_ket())]} | extra
+        path = tmp_path / "states.json"
+        dump_json(obj, path)
+        assert main(["distinguish", "--states", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
     def test_boolean_amplitude_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "bool.json"
         dump_json({"dim": 2, "states": [[[True, False], [False, False]],
@@ -257,6 +271,13 @@ class TestFixedPointCommand:
         assert main(["fixed-point", "--interaction", str(ix_file), "--input", str(in_file)]) == 2
         assert f'integer "{field}"' in capsys.readouterr().err
 
+    def test_input_dim_not_d_sys_is_input_error(self, tmp_path, capsys):
+        ix_file = write_two_state_family(tmp_path / "ix.json")
+        in_file = tmp_path / "in.json"
+        dump_json({"dim": 3, "state": vector_to_json(basis_ket(3, 0))}, in_file)
+        assert main(["fixed-point", "--interaction", ix_file, "--input", str(in_file)]) == 2
+        assert "does not fit" in capsys.readouterr().err
+
     def test_mixed_input_state(self, tmp_path, capsys):
         ix_file = tmp_path / "ix.json"
         dump_json({"d": 2, "family": [matrix_to_json(identity(2)),
@@ -309,22 +330,36 @@ class TestQkdCommand:
         assert main(["qkd", "--protocol", "bb84", "--seed", "-1"]) == 2
         assert "--seed" in capsys.readouterr().err
 
-    def test_ctc_session_does_not_import_scipy(self):
-        # scipy serves only the maximum-entropy selection; importing it
-        # would multiply the command's cold-start time
+    def test_ctc_session_does_not_import_scipy(self, tmp_path):
+        # numpy is the only runtime dependency: with scipy made unimportable,
+        # a CTC session and a non-unique fixed-point solve (swap then
+        # controlled-X, input |0>) must still run, and neither may load it
+        ix_file = tmp_path / "ix.json"
+        dump_json({"d": 2, "family": [matrix_to_json(identity(2)),
+                                      matrix_to_json(X)]}, ix_file)
+        in_file = tmp_path / "in.json"
+        dump_json({"dim": 2, "state": vector_to_json(basis_ket(2, 0))}, in_file)
         script = (
             "import sys\n"
+            "sys.modules['scipy'] = None\n"
             "import ctcsim\n"
             "from ctcsim import cli\n"
             "code = cli.main(['qkd', '--protocol', 'bb84', '--signals', '100', '--eve', 'ctc'])\n"
-            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "print('qkd', code, sorted(m for m, mod in sys.modules.items()\n"
+            "                          if m.split('.')[0] == 'scipy' and mod is not None))\n"
+            f"code = cli.main(['fixed-point', '--interaction', {str(ix_file)!r},\n"
+            f"                 '--input', {str(in_file)!r}])\n"
+            "print('fixed-point', code)\n"
         )
         src = str(Path(ctcsim.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                               text=True, env=env, timeout=120, check=True)
-        assert proc.stdout.splitlines()[-1] == "0 []"
+        lines = proc.stdout.splitlines()
+        assert lines[1] == "qkd 0 []"
+        assert lines[2].startswith("fixed-point: space dimension 2, unique = False")
+        assert lines[-1] == "fixed-point 0"
 
 
 class TestHolevoCommand:

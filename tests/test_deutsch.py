@@ -278,14 +278,6 @@ class TestFixedPoints:
         with pytest.raises(ValueError, match="fp_tol must be finite"):
             fixed_points(two_state_circuit, proj(KET0), fp_tol=fp_tol)
 
-    def test_max_entropy_selection(self):
-        # controlled-X dephases the CTC qubit for a |+> input: the fixed space
-        # is span{I, X} and the maximum-entropy fixed state is I/2
-        ix = DeutschInteraction(2, 2, controlled_family(2, [identity(2), X]))
-        fp = fixed_points(ix, proj(plus_ket()), select_max_entropy=True)
-        assert fp.fixed_space_dim == 2 and not fp.unique
-        np.testing.assert_allclose(fp.representative.matrix, identity(2) / 2, atol=1e-6)
-
 
 class TestOutputState:
     def test_two_state_circuit_outputs(self, two_state_circuit):
@@ -523,14 +515,30 @@ class TestReductions:
 
     def test_non_unique_chain_stays_on_the_chain(self):
         # controlled-X after the swap, input |0>: W_0 = |0><0|, W_1 = |1><1|,
-        # so the chain matrix is the identity and every diagonal state is fixed
-        ix = swap_then_control(2, [identity(2), X])
-        dense = DeutschInteraction(2, 2, ix.V)
-        for interaction, solver in ((ix, "markov"), (dense, "svd")):
-            fp = fixed_points(interaction, proj(KET0))
-            assert fp.fixed_space_dim == 2 and not fp.unique and fp.solver == solver
-            with pytest.raises(NonUniqueFixedPointError):
-                evolve(interaction, proj(KET0))
+        # so the chain matrix is the identity and every diagonal state is fixed;
+        # the map is unital and the representative is I/2
+        unital = swap_then_control(2, [identity(2), X])
+        # U = (I, H + 1, the 0<->2 permutation), input |0>: the fixed states
+        # are a|0><0| + (1 - a)|2><2|, I is not among them, and the start
+        # projects onto diag(2/3, 0, 1/3)
+        h_plus_1 = np.eye(3, dtype=complex)
+        h_plus_1[:2, :2] = H
+        not_unital = swap_then_control(3, [identity(3), h_plus_1, np.eye(3)[[2, 1, 0]]])
+        cases = (
+            (unital, proj(KET0), identity(2) / 2),
+            (not_unital, proj(basis_ket(3, 0)), np.diag([2 / 3, 0, 1 / 3])),
+        )
+        for ix, rho_in, expected in cases:
+            dense = DeutschInteraction(ix.d_sys, ix.d_ctc, ix.V)
+            for interaction, solver in ((ix, "markov"), (dense, "svd")):
+                fp = fixed_points(interaction, rho_in)
+                assert fp.fixed_space_dim == 2 and not fp.unique and fp.solver == solver
+                assert fp.residual <= 1e-12
+                np.testing.assert_allclose(
+                    fp.representative.matrix, expected, rtol=0, atol=1e-12
+                )
+                with pytest.raises(NonUniqueFixedPointError):
+                    evolve(interaction, rho_in)
 
     def test_zero_rule_on_a_rounding_level_shift(self):
         # S - I is all rounding, so its largest singular value is ~1e-16; a
@@ -548,13 +556,6 @@ class TestReductions:
             assert fp.fixed_space_dim == 2 and not fp.unique
             with pytest.raises(NonUniqueFixedPointError):
                 evolve(interaction, proj(KET0))
-
-    def test_max_entropy_selection_on_both_forms(self):
-        ix = swap_then_control(2, [identity(2), X])
-        for interaction in (ix, DeutschInteraction(2, 2, ix.V)):
-            fp = fixed_points(interaction, proj(KET0), select_max_entropy=True)
-            assert fp.fixed_space_dim == 2
-            np.testing.assert_allclose(fp.representative.matrix, identity(2) / 2, atol=1e-6)
 
     def test_non_unique_family_builds_neither_v_nor_s(self, monkeypatch):
         ix = swap_then_control(2, [identity(2), X])
