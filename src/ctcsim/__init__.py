@@ -16,7 +16,6 @@ from .deutsch import (
 )
 from .distinguisher import (
     ConstructionError,
-    ConstructionTrace,
     StateSet,
     UnitaryFamily,
     build_distinguisher,

@@ -324,7 +324,7 @@ def _reduced_form(ix: DeutschInteraction, rho_in: DensityMatrix):
 
 def _density_representative(
     right: np.ndarray, left: np.ndarray, start: np.ndarray, lifted: np.ndarray, d: int
-) -> DensityMatrix | None:
+) -> DensityMatrix:
     """A density-matrix fixed point from the nullspace of T - I.
 
     The eigenvalue one of a channel or a stochastic chain is semisimple, so
@@ -333,25 +333,24 @@ def _density_representative(
     lifted (``lifted`` holds the lifted columns of R) it gives the spectral
     projection of I/d onto the fixed space of the CTC map, itself a fixed
     state; for a one-dimensional space that is the null vector scaled to
-    trace one. Should rounding leave it outside the state space, the
-    symmetrized lifted basis elements are scanned instead.
+    trace one. Raises ``FixedPointSolverError`` should the solve be singular
+    or rounding leave the projection outside the state space.
     """
     try:
         coeffs = np.linalg.solve(left.conj().T @ right, left.conj().T @ start)
-    except np.linalg.LinAlgError:
-        coeffs = None
-    if coeffs is not None:
-        projected = (lifted @ coeffs).reshape(d, d)
-        rho = _clip_to_density((projected + projected.conj().T) / 2.0)
-        if rho is not None:
-            return rho
-    for col in lifted.T:
-        b = col.reshape(d, d)
-        for h in ((b + b.conj().T) / 2.0, 1j * (b - b.conj().T) / 2.0):
-            rho = _clip_to_density(h)
-            if rho is not None:
-                return rho
-    return None
+    except np.linalg.LinAlgError as e:
+        raise FixedPointSolverError(
+            f"the spectral projection onto the fixed space is singular ({e}); "
+            "numerical failure"
+        ) from e
+    projected = (lifted @ coeffs).reshape(d, d)
+    rho = _clip_to_density((projected + projected.conj().T) / 2.0)
+    if rho is None:
+        raise FixedPointSolverError(
+            "the spectral projection of I/d leaves the state space beyond the "
+            "eigenvalue-clip tolerance; numerical failure"
+        )
+    return rho
 
 
 def fixed_points(
@@ -388,11 +387,6 @@ def fixed_points(
     lifted = lift(right)
     basis = [(col / np.linalg.norm(col)).reshape(d, d) for col in lifted.T]
     representative = _density_representative(right, left, start, lifted, d)
-    if representative is None:
-        raise FixedPointSolverError(
-            "nullspace contains no density-matrix element within the "
-            "eigenvalue-clip tolerance; numerical failure"
-        )
     rho = representative.matrix
     return FixedPointResult(
         fixed_space_dim=dim,

@@ -48,29 +48,16 @@ class StateSet:
 
     def __post_init__(self) -> None:
         if len(self.states) != self.dim:
-            raise ValueError(f"state count {len(self.states)} must equal dim {self.dim}")
+            raise ValueError(
+                f"state count {len(self.states)} must equal the space dimension {self.dim}; "
+                "pad with an ancilla to a larger dimension first"
+            )
         for st in self.states:
             if st.dim != self.dim:
                 raise ValueError(f"state of dim {st.dim} in a dim-{self.dim} set")
 
     def vectors(self) -> list[np.ndarray]:
         return [st.vector for st in self.states]
-
-
-@dataclass(frozen=True, eq=False)
-class ConstructionTrace:
-    """Record of one basis-building sweep.
-
-    ``input_basis`` is the read-only matrix B whose columns are the b vectors
-    (Gram-Schmidt over the states), ``output_basis`` the matrix C whose
-    columns are the c vectors (group superpositions), so U_k = C B^dag; and
-    ``groups`` the sweep steps as (step index, member state indices, group
-    size).
-    """
-
-    input_basis: np.ndarray
-    output_basis: np.ndarray
-    groups: tuple[tuple[int, tuple[int, ...], int], ...]
 
 
 @dataclass(frozen=True)
@@ -81,14 +68,13 @@ class VerificationReport:
 
 @dataclass(frozen=True, eq=False)
 class UnitaryFamily:
-    """The unitaries {U_k} for the set ``states``, plus construction traces,
-    checked and verified once, when made: ``interaction`` is the
-    swap-then-control circuit (the only unitarity check), ``unitaries`` its
-    read-only (dim, dim, dim) array, ``report`` the two sufficiency conditions."""
+    """The unitaries {U_k} for the set ``states``, checked and verified once,
+    when made: ``interaction`` is the swap-then-control circuit (the only
+    unitarity check), ``unitaries`` its read-only (dim, dim, dim) array,
+    ``report`` the two sufficiency conditions."""
 
     states: StateSet
     unitaries: np.ndarray
-    traces: tuple[ConstructionTrace, ...] = field(default_factory=tuple)
     interaction: DeutschInteraction = field(init=False)
     report: VerificationReport = field(init=False)
 
@@ -110,16 +96,8 @@ def validate_state_set(
     """
     if not raw:
         raise ValueError("state list is empty")
-    dim = raw[0].dim
-    for st in raw:
-        if st.dim != dim:
-            raise ValueError("states have mismatched dimensions")
-    if len(raw) != dim:
-        raise ValueError(
-            f"state count {len(raw)} must equal the space dimension {dim}; "
-            "pad with an ancilla to a larger dimension first"
-        )
-    x = np.stack([st.vector for st in raw], axis=1)
+    s = StateSet(dim=raw[0].dim, states=tuple(raw))
+    x = np.stack(s.vectors(), axis=1)
     overlaps = np.abs(x.conj().T @ x)
     clashes = np.argwhere(np.triu(overlaps > 1.0 - distinct_tol, k=1))
     if clashes.size:
@@ -128,7 +106,7 @@ def validate_state_set(
             f"states {i} and {j} coincide up to phase "
             f"(overlap {overlaps[i, j]:.9f} > 1 - {distinct_tol})"
         )
-    return StateSet(dim=dim, states=tuple(raw))
+    return s
 
 
 def pad_with_ancilla(
@@ -187,10 +165,10 @@ def _complete_basis(basis: np.ndarray, rank: int) -> np.ndarray:
 
 def _sweep(
     x: np.ndarray, k: int, order: list[int], span_tol: float, meet: dict
-) -> tuple[np.ndarray, np.ndarray, list, dict, bool]:
+) -> tuple[np.ndarray, np.ndarray, int, dict, bool]:
     """One sweep for target k over the states held as the columns of x.
 
-    Returns the uncompleted bases B and C, the groups, the trail and whether
+    Returns the uncompleted bases B and C, their rank, the trail and whether
     it stopped where the trail met `meet`, another sweep's trail. The trail
     holds the unused list at each rank while the span is known to _SHARE_TOL:
     each grouped state and each pick's direction (correct to about eps over
@@ -202,7 +180,6 @@ def _sweep(
     c = np.zeros((n, n), dtype=complex)
     b[:, 0] = x[:, k]
     c[k, 0] = 1.0
-    groups: list[tuple[int, tuple[int, ...], int]] = [(1, (k,), 1)]
     unused = [i for i in order if i != k]
     resid = _project_out(x[:, unused], b[:, :1]).T.copy()
     rank = 1
@@ -221,13 +198,12 @@ def _sweep(
         grouped = norms <= span_tol
         members = [i for i, g in zip(unused, grouped) if g]
         c[members, rank - 1] = 1.0 / np.sqrt(len(members))
-        groups.append((rank, tuple(members), len(members)))
         unused = [i for i, g in zip(unused, grouped) if not g]
         error = max(norms[grouped].max(initial=0.0), np.finfo(float).eps / pick)
         if rank - 1 in trail and error <= _SHARE_TOL:
             trail[rank] = unused
         resid = resid[~grouped]
-    return b, c, groups, trail, met
+    return b, c, rank, trail, met
 
 
 def construct_family(
@@ -254,26 +230,21 @@ def construct_family(
     if sorted(order) != list(range(n)):
         raise ValueError("order must be a permutation of 0..N-1")
     x = np.stack(s.vectors(), axis=1)
-    ref_b, ref_c, ref_groups, ref_trail, _ = _sweep(x, order[0], order, span_tol, {})
-    _complete_basis(ref_b, len(ref_groups))
-    unitaries, traces = [], []
+    ref_b, ref_c, ref_rank, ref_trail, _ = _sweep(x, order[0], order, span_tol, {})
+    _complete_basis(ref_b, ref_rank)
+    unitaries = []
     for k in range(n):
         if k == order[0]:
-            b, c, groups = ref_b, ref_c, ref_groups
+            b, c, rank = ref_b, ref_c, ref_rank
         else:
-            b, c, groups, _, met = _sweep(x, k, order, span_tol, ref_trail)
-            rank = len(groups)
+            b, c, rank, _, met = _sweep(x, k, order, span_tol, ref_trail)
             if met:
                 b[:, rank:], c[:, rank:] = ref_b[:, rank:], ref_c[:, rank:]
-                groups += ref_groups[rank:]
+                rank = ref_rank
             else:  # tolerance or rounding kept this sweep's span apart
                 _complete_basis(b, rank)
-        _complete_basis(c, len(groups))
-        b.setflags(write=False)
-        c.setflags(write=False)
-        unitaries.append(c @ b.conj().T)
-        traces.append(ConstructionTrace(input_basis=b, output_basis=c, groups=tuple(groups)))
-    family = UnitaryFamily(states=s, unitaries=unitaries, traces=tuple(traces))
+        unitaries.append(_complete_basis(c, rank) @ b.conj().T)
+    family = UnitaryFamily(states=s, unitaries=unitaries)
     report = family.report
     if report.cond1_residual > _COND1_TOL:
         raise ConstructionError(

@@ -9,6 +9,7 @@ from conftest import haar_state, random_density, random_unitary
 import ctcsim.deutsch as deutsch
 from ctcsim.deutsch import (
     DeutschInteraction,
+    FixedPointSolverError,
     NonUniqueFixedPointError,
     apply_superoperator,
     cesaro_iterate,
@@ -277,6 +278,12 @@ class TestFixedPoints:
     def test_rejects_non_finite_tolerance(self, two_state_circuit, fp_tol):
         with pytest.raises(ValueError, match="fp_tol must be finite"):
             fixed_points(two_state_circuit, proj(KET0), fp_tol=fp_tol)
+
+    def test_projection_outside_state_space_raises(self, both_forms, monkeypatch):
+        # no other element of the fixed space is tried in its place
+        monkeypatch.setattr(deutsch, "_clip_to_density", lambda h: None)
+        with pytest.raises(FixedPointSolverError, match="leaves the state space"):
+            fixed_points(both_forms, proj(KET0))
 
 
 class TestOutputState:

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import random_density, random_unitary
 from ctcsim.deutsch import FixedPointResult, swap_then_control
-from ctcsim.distinguisher import UnitaryFamily, construct_family, validate_state_set
+from ctcsim.distinguisher import UnitaryFamily, validate_state_set
 from ctcsim.infotheory import Ensemble
 from ctcsim.protocols import bb84_protocol
 from ctcsim.qlinalg import (
@@ -218,7 +218,6 @@ ARRAY_HOLDERS = {
     "DensityMatrix": mixed_qubit,
     "Ensemble": lambda: Ensemble(priors=(1.0,), states=(mixed_qubit(),)),
     "StateSet": two_state_set,
-    "ConstructionTrace": lambda: construct_family(two_state_set()).traces[0],
     "UnitaryFamily": lambda: UnitaryFamily(states=two_state_set(), unitaries=(identity(2), H)),
     "FixedPointResult": lambda: FixedPointResult(
         1, 0.0, mixed_qubit(), [np.eye(2) / np.sqrt(2)], "markov",
