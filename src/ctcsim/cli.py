@@ -10,7 +10,10 @@ information report).
 Exit codes: 0 all assertions passed, 1 domain failure (misclassification,
 ambiguous fixed point, construction failure), 2 unreadable or schema-invalid
 input. Reports are JSON with a {"version", "command", "config", "result"}
-envelope; identical configurations produce byte-identical reports.
+envelope, where ``config`` holds every accepted flag except ``--out`` and
+``--json``; identical configurations produce byte-identical reports.
+``--out`` writes the report to a file; ``--json`` prints it, else a summary
+is printed. ``qkd`` solves no fixed point and takes no ``--fp-tol``.
 """
 
 from __future__ import annotations
@@ -35,10 +38,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def add_common(p: argparse.ArgumentParser, solves: bool = True) -> None:
         p.add_argument("--out", help="write the JSON report to this path")
         p.add_argument("--json", action="store_true", help="print JSON instead of a summary")
-        p.add_argument("--fp-tol", type=float, default=deutsch.DEFAULT_FP_TOL, help="fixed-point tolerance")
+        if solves:
+            p.add_argument("--fp-tol", type=float, default=deutsch.DEFAULT_FP_TOL, help="fixed-point tolerance")
 
     p_demo = sub.add_parser("demo", help="run a canned discrimination demo")
     p_demo.add_argument("which", choices=["b92", "bb84"])
@@ -63,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_qkd.add_argument("--eve", choices=list(protocols.EVE_STRATEGIES), default="none")
     p_qkd.add_argument("--seed", type=int, default=0)
     p_qkd.add_argument("--transcript", help="write a JSON-lines transcript to this path")
-    add_common(p_qkd)
+    add_common(p_qkd, solves=False)
 
     p_hol = sub.add_parser("holevo", help="ensemble information report")
     p_hol.add_argument("--states", required=True, help="state-set or ensemble JSON file")
@@ -78,20 +82,14 @@ def _tolerances_valid(args: argparse.Namespace) -> bool:
     return all(0.0 < v < math.inf for v in values if v is not None)
 
 
-def _emit(report: dict, args: argparse.Namespace, summary_lines: list[str]) -> None:
+def _emit(args: argparse.Namespace, result: dict, lines: list[str]) -> int:
+    """Write the report to ``--out`` if given; print it with ``--json``, else the summary."""
+    config = {k: v for k, v in vars(args).items() if k not in ("command", "out", "json")}
+    report = {"version": "1", "command": args.command, "config": config, "result": result}
     if args.out:
         serialize.dump_json(report, args.out)
-        for line in summary_lines:
-            print(line)
-    elif args.json:
-        print(serialize.dump_json(report))
-    else:
-        for line in summary_lines:
-            print(line)
-
-
-def _envelope(command: str, config: dict, result: dict) -> dict:
-    return {"version": "1", "command": command, "config": config, "result": result}
+    print(serialize.dump_json(report) if args.json else "\n".join(lines))
+    return EXIT_OK
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
@@ -99,15 +97,13 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         result = protocols.b92_demo(args.fp_tol)
     else:
         result = protocols.bb84_demo(args.fp_tol)
-    report = _envelope("demo", {"which": args.which, "fp_tol": args.fp_tol}, result)
     lines = [f"demo {args.which}: all classifications correct"]
     for row in result["classifications"]:
         lines.append(
             f"  {row['input']} -> label {row['label']} "
             f"(p = {row['success_prob']:.12f}, fixed-space dim {row['fixed_space_dim']})"
         )
-    _emit(report, args, lines)
-    return EXIT_OK
+    return _emit(args, result, lines)
 
 
 def _cmd_distinguish(args: argparse.Namespace) -> int:
@@ -148,14 +144,6 @@ def _cmd_distinguish(args: argparse.Namespace) -> int:
         "cond1_residual": report_fam.cond1_residual,
         "classifications": rows,
     }
-    config = {
-        "states": args.states,
-        "pad": args.pad,
-        "order": args.order,
-        "span_tol": args.span_tol,
-        "distinct_tol": args.distinct_tol,
-        "fp_tol": args.fp_tol,
-    }
     lines = [
         f"distinguish: {s.dim} states, floor margin {report_fam.floor_margin:.6f}, "
         f"condition-1 residual {report_fam.cond1_residual:.3e}"
@@ -164,8 +152,7 @@ def _cmd_distinguish(args: argparse.Namespace) -> int:
         lines.append(
             f"  j={row['j']} -> label {row['label']} (p = {row['success_prob']:.12f})"
         )
-    _emit(_envelope("distinguish", config, result), args, lines)
-    return EXIT_OK
+    return _emit(args, result, lines)
 
 
 def _cmd_fixed_point(args: argparse.Namespace) -> int:
@@ -177,7 +164,6 @@ def _cmd_fixed_point(args: argparse.Namespace) -> int:
         )
     fp = deutsch.fixed_points(ix, rho_in, args.fp_tol)
     result = serialize.fixed_point_result_to_json(fp)
-    config = {"interaction": args.interaction, "input": args.input, "fp_tol": args.fp_tol}
     diag = ", ".join(f"{v:.6f}" for v in np.real(np.diag(fp.representative.matrix)))
     lines = [
         f"fixed-point: space dimension {fp.fixed_space_dim}, "
@@ -185,8 +171,7 @@ def _cmd_fixed_point(args: argparse.Namespace) -> int:
         f"spectrum gap {fp.spectrum_gap:.6f}",
         f"  representative diagonal: [{diag}]",
     ]
-    _emit(_envelope("fixed-point", config, result), args, lines)
-    return EXIT_OK
+    return _emit(args, result, lines)
 
 
 def _cmd_qkd(args: argparse.Namespace) -> int:
@@ -199,21 +184,13 @@ def _cmd_qkd(args: argparse.Namespace) -> int:
         protocol, args.signals, args.eve, args.seed, transcript_path=args.transcript
     )
     result = stats.to_dict()
-    config = {
-        "protocol": args.protocol,
-        "signals": args.signals,
-        "eve": args.eve,
-        "seed": args.seed,
-        "transcript": args.transcript,
-    }
     qber_text = "undefined" if stats.qber is None else f"{stats.qber:.6f}"
     lines = [
         f"qkd {args.protocol} (eve = {args.eve}, seed = {args.seed}): "
         f"sent {stats.signals_sent}, sifted {stats.sifted}, "
         f"qber {qber_text}, eve_info {stats.eve_info:.6f}"
     ]
-    _emit(_envelope("qkd", config, result), args, lines)
-    return EXIT_OK
+    return _emit(args, result, lines)
 
 
 def _cmd_holevo(args: argparse.Namespace) -> int:
@@ -234,14 +211,12 @@ def _cmd_holevo(args: argparse.Namespace) -> int:
         except ValueError as exc:
             raise serialize.SchemaError(f"bad --priors value: {exc}") from exc
     result = infotheory.violation_report(ens, padded_dim=len(ens.states), fp_tol=args.fp_tol)
-    config = {"states": args.states, "priors": args.priors, "fp_tol": args.fp_tol}
     lines = [
         f"holevo: chi = {result['chi_bits']:.6f} bits over dim {result['qubit_dim']}, "
         f"accessible = {result['accessible_bits']:.6f} bits via padded dim "
         f"{result['padded_dim']}, violation = {result['violation']}"
     ]
-    _emit(_envelope("holevo", config, result), args, lines)
-    return EXIT_OK
+    return _emit(args, result, lines)
 
 
 _HANDLERS = {

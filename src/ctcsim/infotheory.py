@@ -1,9 +1,10 @@
 """Entropy and Holevo-quantity calculators, in bits.
 
-The headline demonstration: a receiver running the perfect distinguisher on a
-uniform ensemble of N distinct pure qubit-origin states extracts log2(N) bits
-from each transmitted qubit, exceeding the Holevo quantity of the physical
-single-qubit ensemble (at most one bit) whenever N > 2.
+The headline demonstration: a receiver running the perfect distinguisher on an
+ensemble of N distinct pure qubit-origin states with priors p extracts H(p)
+bits from each transmitted qubit (log2 N under uniform priors), exceeding the
+Holevo quantity chi of the physical single-qubit ensemble (at most one bit)
+whenever H(p) > chi.
 """
 
 from __future__ import annotations
@@ -99,27 +100,25 @@ def ctc_accessible_info(
 ) -> float:
     """Information a distinguisher-equipped receiver extracts, in bits.
 
-    The ensemble must consist of distinct pure states under uniform priors
-    and must have exactly ``padded_dim`` members. Each state is padded with
-    an all-zeros ancilla, the unitary family is constructed, and every state
-    is classified through the self-consistency engine with fixed-point
-    tolerance ``fp_tol`` by ``classification_table``, which raises unless
-    state j reads label j. The result is the mutual information between
-    the source index and the classification label: log2 N, the
-    construction's perfect classification.
+    The ensemble must consist of distinct pure states and must have exactly
+    ``padded_dim`` members. Each state is padded with an all-zeros ancilla,
+    the unitary family is constructed, and every state is classified
+    through the self-consistency engine with fixed-point tolerance
+    ``fp_tol`` by ``classification_table``, which raises unless state j
+    reads label j. The result is the mutual information between
+    the source index and the classification label: the Shannon entropy
+    H(p) of the priors, the construction's perfect classification.
     """
     n = len(e.states)
     if n != padded_dim:
         raise ValueError(f"padded dim {padded_dim} must equal the ensemble size {n}")
-    if any(abs(p - 1.0 / n) > _PRIOR_TOL for p in e.priors):
-        raise ValueError("accessible-information demo requires uniform priors")
     pure = [_pure_vector(st) for st in e.states]
     padded = pad_with_ancilla(pure, padded_dim)
     family = construct_family(padded)
     ix = build_distinguisher(padded, family)
     joint = np.zeros((n, n))
     for j, (label, _prob, _fp) in enumerate(classification_table(ix, padded, fp_tol)):
-        joint[j, label] += 1.0 / n
+        joint[j, label] += e.priors[j]
     return _mutual_information_bits(joint)
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -7,9 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import random_unitary
 import ctcsim
 from ctcsim import deutsch, distinguisher
-from ctcsim.cli import main
+from ctcsim.cli import build_parser, main
 from ctcsim.deutsch import DeutschInteraction, swap_then_control
 from ctcsim.qlinalg import X, basis_ket, identity, minus_ket, plus_ket
 from ctcsim.serialize import (
@@ -127,6 +129,11 @@ class TestDistinguishCommand:
         assert main(["distinguish", "--states", bb84_states_file, "--pad", "4",
                      "--order", order]) == 2
         assert "bad --order value" in capsys.readouterr().err
+
+    def test_non_integer_order_is_input_error(self, bb84_states_file, capsys):
+        assert main(["distinguish", "--states", bb84_states_file, "--pad", "4",
+                     "--order", "3,1,zero,2"]) == 2
+        assert "bad --order value: '3,1,zero,2'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("pad", ["0", "-4"])
     def test_non_positive_pad_is_input_error(self, bb84_states_file, capsys, pad):
@@ -296,6 +303,18 @@ class TestFixedPointCommand:
                         for row in report["result"]["representative"]])
         np.testing.assert_allclose(rep, identity(2) / 2, atol=1e-9)
 
+    def test_empty_nullspace_is_domain_error(self, tmp_path, capsys):
+        # at fp_tol = 1e-300 no singular value of T - I for a dense Haar V
+        # counts as zero, so the solver finds no fixed point
+        ix_file = tmp_path / "ix.json"
+        v = random_unitary(np.random.default_rng(0), 8)
+        dump_json({"d_sys": 2, "d_ctc": 4, "V": matrix_to_json(v)}, ix_file)
+        in_file = tmp_path / "in.json"
+        dump_json({"dim": 2, "state": vector_to_json(basis_ket(2, 0))}, in_file)
+        assert main(["fixed-point", "--interaction", str(ix_file), "--input", str(in_file),
+                     "--fp-tol", "1e-300"]) == 1
+        assert "nullspace of (T - I) is empty" in capsys.readouterr().err
+
 
 class TestQkdCommand:
     def test_ctc_attack(self, capsys):
@@ -325,6 +344,14 @@ class TestQkdCommand:
 
     def test_zero_signals_is_input_error(self):
         assert main(["qkd", "--protocol", "bb84", "--signals", "0"]) == 2
+
+    def test_fp_tol_is_not_accepted(self, capsys):
+        # a session solves no fixed point, so it takes no fixed-point tolerance
+        with pytest.raises(SystemExit) as exc:
+            main(["qkd", "--protocol", "bb84", "--signals", "100", "--eve", "ctc",
+                  "--fp-tol", "1e-9"])
+        assert exc.value.code == 2
+        assert "--fp-tol" in capsys.readouterr().err
 
     def test_negative_seed_is_input_error(self, capsys):
         assert main(["qkd", "--protocol", "bb84", "--seed", "-1"]) == 2
@@ -424,7 +451,63 @@ class TestHolevoCommand:
         assert main(["holevo", "--states", str(path)]) == 2
         assert "finite" in capsys.readouterr().err
 
-    def test_nonuniform_priors_rejected(self, bb84_states_file, capsys):
+    def test_nonuniform_priors_honoured(self, bb84_states_file, capsys):
+        # the average state is diag(0.6, 0.4), so chi = H(0.6); perfect
+        # classification extracts the prior entropy H(0.4, 0.2, 0.2, 0.2)
         assert main(["holevo", "--states", bb84_states_file,
-                     "--priors", "0.7,0.1,0.1,0.1"]) == 1
-        assert "uniform" in capsys.readouterr().err
+                     "--priors", "0.4,0.2,0.2,0.2", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["result"]["chi_bits"] == pytest.approx(0.970951, abs=1e-6)
+        assert report["result"]["accessible_bits"] == pytest.approx(1.921928, abs=1e-6)
+        assert report["result"]["violation"] is True
+        assert report["config"]["priors"] == "0.4,0.2,0.2,0.2"
+
+    def test_file_that_is_not_an_object_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        dump_json([vector_to_json(basis_ket(2, 0))], path)
+        assert main(["holevo", "--states", str(path)]) == 2
+        assert "must be an object" in capsys.readouterr().err
+
+    def test_non_numeric_priors_flag_is_input_error(self, b92_states_file, capsys):
+        assert main(["holevo", "--states", b92_states_file, "--priors", "half,half"]) == 2
+        assert "bad --priors value" in capsys.readouterr().err
+
+
+@pytest.fixture
+def command_lines(tmp_path, bb84_states_file):
+    """One valid command line per subcommand."""
+    ix_file = write_two_state_family(tmp_path / "ix.json")
+    in_file = tmp_path / "in.json"
+    dump_json({"dim": 2, "state": vector_to_json(basis_ket(2, 0))}, in_file)
+    return {
+        "demo": ["demo", "b92"],
+        "distinguish": ["distinguish", "--states", bb84_states_file, "--pad", "4"],
+        "fixed-point": ["fixed-point", "--interaction", ix_file, "--input", str(in_file)],
+        "qkd": ["qkd", "--protocol", "b92", "--signals", "100", "--eve", "ctc"],
+        "holevo": ["holevo", "--states", bb84_states_file],
+    }
+
+
+def subparsers() -> dict:
+    (action,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+class TestReportEnvelope:
+    def test_every_subcommand_is_covered(self, command_lines):
+        assert set(command_lines) == set(subparsers())
+
+    @pytest.mark.parametrize("command", ["demo", "distinguish", "fixed-point", "qkd", "holevo"])
+    def test_config_holds_every_accepted_flag(self, command_lines, capsys, command):
+        assert main(command_lines[command] + ["--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        dests = {a.dest for a in subparsers()[command]._actions} - {"help", "out", "json"}
+        assert report["command"] == command
+        assert set(report["config"]) == dests
+
+    def test_out_with_json_prints_the_report(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert main(["demo", "b92", "--out", str(out), "--json"]) == 0
+        printed = capsys.readouterr().out
+        assert printed == out.read_text()
+        assert json.loads(printed)["config"] == {"which": "b92", "fp_tol": deutsch.DEFAULT_FP_TOL}

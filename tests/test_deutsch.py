@@ -279,6 +279,12 @@ class TestFixedPoints:
         with pytest.raises(ValueError, match="fp_tol must be finite"):
             fixed_points(two_state_circuit, proj(KET0), fp_tol=fp_tol)
 
+    def test_empty_nullspace_raises(self, rng):
+        # at fp_tol = 1e-300 no singular value of T - I counts as zero
+        ix = DeutschInteraction(2, 4, random_unitary(rng, 8))
+        with pytest.raises(FixedPointSolverError, match="nullspace of"):
+            fixed_points(ix, proj(KET0), fp_tol=1e-300)
+
     def test_projection_outside_state_space_raises(self, both_forms, monkeypatch):
         # no other element of the fixed space is tried in its place
         monkeypatch.setattr(deutsch, "_clip_to_density", lambda h: None)

@@ -202,6 +202,17 @@ class TestConstructFamily:
         amp = abs((fam.unitaries[0] @ minus_ket())[1])
         assert amp == pytest.approx(1 / np.sqrt(2))
 
+    def test_condition_2_floor_refusal(self):
+        # the third state lies 1e-10 outside span{|0>, |1>}; a span tolerance
+        # below that keeps the sliver, and the floor collapses to 1e-10/sqrt(2)
+        near = basis_ket(3, 0) + basis_ket(3, 1) + 1e-10 * basis_ket(3, 2)
+        s = validate_state_set(
+            [PureState(basis_ket(3, 0)), PureState(basis_ket(3, 1)), PureState.normalized(near)]
+        )
+        with pytest.raises(ConstructionError, match=r"condition 2 floor 7\.071e-11"):
+            construct_family(s, span_tol=1e-12)
+        assert construct_family(s).report.floor_margin == pytest.approx(0.5, abs=1e-9)
+
     def test_orthonormal_basis_becomes_permutation(self):
         s = validate_state_set([PureState(basis_ket(3, i)) for i in range(3)])
         fam = construct_family(s)

@@ -119,13 +119,12 @@ class TestAccessibleInfo:
         assert info == pytest.approx(2.0, abs=1e-9)
         assert info > holevo_chi(ens)
 
-    def test_requires_uniform_priors(self):
+    def test_nonuniform_priors_give_prior_entropy(self):
         ens = Ensemble(
             priors=(0.7, 0.3),
             states=(PureState(basis_ket(2, 0)).projector(), PureState(basis_ket(2, 1)).projector()),
         )
-        with pytest.raises(ValueError, match="uniform"):
-            ctc_accessible_info(ens, 2)
+        assert ctc_accessible_info(ens, 2) == pytest.approx(0.881291, abs=1e-6)
 
     def test_requires_pure_states(self):
         ens = Ensemble(
