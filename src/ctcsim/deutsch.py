@@ -172,16 +172,12 @@ class FixedPointResult:
 def _family_array(dim: int, family) -> np.ndarray:
     """The family as one read-only (dim, dim, dim) array, after checking the
     count and the shape and unitarity of every member."""
-    if len(family) != dim:
-        raise ValueError(f"need exactly {dim} unitaries, got {len(family)}")
-    us = np.empty((dim, dim, dim), dtype=complex)
-    for k, u in enumerate(family):
-        u = np.asarray(u, dtype=complex)
-        if u.shape != (dim, dim):
-            raise ValueError(f"family member {k} has shape {u.shape}, expected ({dim}, {dim})")
+    us = np.array(family, dtype=complex)
+    if us.shape != (dim, dim, dim):
+        raise ValueError(f"need exactly {dim} unitaries of shape ({dim}, {dim}), got {us.shape}")
+    for k, u in enumerate(us):
         if not is_unitary(u, _UNITARY_TOL):
             raise ValueError(f"family member {k} is not unitary")
-        us[k] = u
     us.setflags(write=False)
     return us
 

@@ -14,8 +14,8 @@ to the input basis B the next unused state's residual against B, then
 projects every unused state onto the complement of the grown B at once; the
 states whose residuals vanish (to the span tolerance) form the step's group.
 The output basis C takes the uniform superposition of the basis kets indexed
-by each group. A sweep that has used the same states as the reference sweep
-(order[0]'s) at the same rank spans its space, so it takes the rest from it.
+by each group. When every group is one state, one QR of the states gives every
+sweep; otherwise each target sweeps on its own and completes C in closed form.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .qlinalg import PureState, basis_ket
 
 DEFAULT_SPAN_TOL = 1e-8
 DEFAULT_DISTINCT_TOL = 1e-6
-_SHARE_TOL = 1e-12
 _COND1_TOL = 1e-9
 _FLOOR_MIN = 1e-9
 
@@ -132,8 +131,8 @@ def pad_with_ancilla(
 
 def _project_out(v: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Residual of v (a vector, or each column of a matrix) against the
-    orthonormal columns of `basis`."""
-    return v - basis @ (basis.conj().T @ v)
+    orthonormal columns of `basis`, made without a conjugate copy of `basis`."""
+    return v - basis @ (v.conj().T @ basis).conj().T
 
 
 def _reorthonormalize(r: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -154,7 +153,7 @@ def _complete_basis(basis: np.ndarray, rank: int) -> np.ndarray:
     for i in range(n):
         if rank == n:
             break
-        r = _project_out(basis_ket(n, i), basis[:, :rank])
+        r = basis_ket(n, i) - basis[:, :rank] @ basis[i, :rank].conj()
         if np.linalg.norm(r) > 0.5 / np.sqrt(n):
             basis[:, rank] = _reorthonormalize(r, basis[:, :rank])
             rank += 1
@@ -163,47 +162,53 @@ def _complete_basis(basis: np.ndarray, rank: int) -> np.ndarray:
     return basis
 
 
-def _sweep(
-    x: np.ndarray, k: int, order: list[int], span_tol: float, meet: dict
-) -> tuple[np.ndarray, np.ndarray, int, dict, bool]:
-    """One sweep for target k over the states held as the columns of x.
+def _gram_schmidt(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Q^dag and R of m = QR with R's diagonal real and non-negative, as
+    Gram-Schmidt of m's columns in order gives them."""
+    q, r = np.linalg.qr(m)
+    phase = np.exp(1j * np.angle(np.diagonal(r)))
+    return (q * phase).conj().T, phase.conj()[:, None] * r
 
-    Returns the uncompleted bases B and C, their rank, the trail and whether
-    it stopped where the trail met `meet`, another sweep's trail. The trail
-    holds the unused list at each rank while the span is known to _SHARE_TOL:
-    each grouped state and each pick's direction (correct to about eps over
-    its first-pass residual norm) lie within it. `resid` holds the unused
-    states' residuals as rows, each new column taken off by a rank-one step.
-    """
+
+def _output_basis(group: np.ndarray) -> np.ndarray:
+    """C for a sweep that put state i in group[i] (numbered by rank): the
+    groups' uniform superpositions, then `_complete_basis`'s completion in
+    closed form, as the groups have disjoint supports. Ket g_j of a group
+    g_1 < ... < g_m adds (e_{g_j} - sum_{l>=j} e_{g_l}/t) / sqrt(1 - 1/t),
+    t = m - j + 1, if j < m."""
+    members = group == np.arange(group.max() + 1)[:, None]
+    later = np.triu(group[:, None] == group)
+    t = later.sum(axis=1, keepdims=True)
+    keep = t[:, 0] > 1
+    fill = (np.eye(group.size)[keep] - later[keep] / t[keep]) / np.sqrt(1 - 1 / t[keep])
+    return np.hstack([members.T / np.sqrt(members.sum(axis=1)), fill.T])
+
+
+def _sweep(x: np.ndarray, k: int, order: list[int], span_tol: float) -> np.ndarray:
+    """U_k from one sweep for target k over the states held as the columns of
+    x. `resid` holds the unused states' residuals as rows, each new column
+    taken off by a rank-one step; `group` holds each state's group."""
     n = x.shape[0]
     b = np.zeros((n, n), dtype=complex)
-    c = np.zeros((n, n), dtype=complex)
     b[:, 0] = x[:, k]
-    c[k, 0] = 1.0
+    group = np.zeros(n, dtype=int)
     unused = [i for i in order if i != k]
     resid = _project_out(x[:, unused], b[:, :1]).T.copy()
     rank = 1
-    trail = {1: unused}
-    while not (met := rank in trail and meet.get(rank) == unused) and unused:
-        pick = np.linalg.norm(resid[0])
-        if pick <= span_tol:
+    while unused:
+        if np.linalg.norm(resid[0]) <= span_tol:
             raise ConstructionError(
                 f"state {unused[0]} lies in the current span but was not grouped; "
                 "span_tol is inconsistent"
             )
         b[:, rank] = _reorthonormalize(resid[0], b[:, :rank])
         resid -= np.outer(resid @ b[:, rank].conj(), b[:, rank])
+        grouped = np.linalg.norm(resid, axis=1) <= span_tol
+        group[[i for i, g in zip(unused, grouped) if g]] = rank
         rank += 1
-        norms = np.linalg.norm(resid, axis=1)
-        grouped = norms <= span_tol
-        members = [i for i, g in zip(unused, grouped) if g]
-        c[members, rank - 1] = 1.0 / np.sqrt(len(members))
         unused = [i for i, g in zip(unused, grouped) if not g]
-        error = max(norms[grouped].max(initial=0.0), np.finfo(float).eps / pick)
-        if rank - 1 in trail and error <= _SHARE_TOL:
-            trail[rank] = unused
         resid = resid[~grouped]
-    return b, c, rank, trail, met
+    return _output_basis(group) @ _complete_basis(b, rank).conj().T
 
 
 def construct_family(
@@ -219,10 +224,13 @@ def construct_family(
     so far, projects all unused states against the grown basis, and groups
     those whose residual norm is at most `span_tol` into one
     uniform-superposition output vector. Both bases are completed with
-    standard kets and U_k = C B^dag. Each sweep but order[0]'s stops where
-    it meets that one (see `_sweep`) and takes the rest from it. The family
-    is verified once, when it is packaged, and returned only if it meets
-    both sufficiency conditions.
+    standard kets and U_k = C B^dag. With X[:, order] = QR as Gram-Schmidt
+    gives it, the sweep for order[i] first picks columns [i, 0..i-1] of R.
+    If R's diagonal and theirs after a QR, the picks' residuals, all exceed
+    `span_tol`, every group is one state and B_k is Q with its first i+1
+    columns rotated by that QR; else each target runs `_sweep`. The family
+    is verified once, when packaged, and returned only if it satisfies both
+    sufficiency conditions.
     """
     n = s.dim
     if order is None:
@@ -230,20 +238,16 @@ def construct_family(
     if sorted(order) != list(range(n)):
         raise ValueError("order must be a permutation of 0..N-1")
     x = np.stack(s.vectors(), axis=1)
-    ref_b, ref_c, ref_rank, ref_trail, _ = _sweep(x, order[0], order, span_tol, {})
-    _complete_basis(ref_b, ref_rank)
-    unitaries = []
-    for k in range(n):
-        if k == order[0]:
-            b, c, rank = ref_b, ref_c, ref_rank
-        else:
-            b, c, rank, _, met = _sweep(x, k, order, span_tol, ref_trail)
-            if met:
-                b[:, rank:], c[:, rank:] = ref_b[:, rank:], ref_c[:, rank:]
-                rank = ref_rank
-            else:  # tolerance or rounding kept this sweep's span apart
-                _complete_basis(b, rank)
-        unitaries.append(_complete_basis(c, rank) @ b.conj().T)
+    qh, r = _gram_schmidt(x[:, order])
+    unitaries = np.empty((n, n, n), dtype=complex)
+    for i, k in enumerate(order):
+        small_qh, small_r = _gram_schmidt(r[: i + 1, [i, *range(i)]])
+        if min(np.diagonal(r).real.min(), np.diagonal(small_r).real.min()) <= span_tol:
+            for j in range(n):
+                unitaries[j] = _sweep(x, j, order, span_tol)
+            break
+        unitaries[k, [k, *order[:i]]] = small_qh @ qh[: i + 1]
+        unitaries[k, order[i + 1 :]] = qh[i + 1 :]
     family = UnitaryFamily(states=s, unitaries=unitaries)
     report = family.report
     if report.cond1_residual > _COND1_TOL:
@@ -276,7 +280,7 @@ def verify_family(s: StateSet, fam: UnitaryFamily) -> VerificationReport:
 
 
 def build_distinguisher(s: StateSet, fam: UnitaryFamily) -> DeutschInteraction:
-    """`fam.interaction` if `fam` meets condition 1 for `s`; re-verified only for another set."""
+    """`fam.interaction` if `fam` satisfies condition 1 for `s`; re-verified only for another set."""
     report = fam.report if fam.states is s else verify_family(s, fam)
     if report.cond1_residual > _COND1_TOL:
         raise ConstructionError(

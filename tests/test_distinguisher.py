@@ -309,13 +309,14 @@ class TestConstructFamily:
             return
         assert_matches_reference_sweep(s, fam, order, span_tol)
 
-    @pytest.mark.parametrize("offset", [1e-6, 1e-7])
+    @pytest.mark.parametrize("offset", [1e-6, 1e-7, 1e-9])
     def test_state_near_the_span_of_others(self, offset):
-        # state 2 lies `offset` off span{psi_0, psi_1}. A pick's direction is
-        # only correct to about eps / offset, so the sweeps that pick state 2
-        # after 0 and 1, or 1 after 2 and 0, span spaces that differ by that
-        # much and must not share: each U_k stays unitary to rounding, and
-        # agrees with the reference sweep to that same eps / offset
+        # state 2 lies `offset` off span{psi_0, psi_1}. Above span_tol every
+        # group is one state and the QR route serves every target, but a
+        # pick's direction is only correct to about eps / offset, so each U_k
+        # stays unitary to rounding and agrees with the reference sweep to
+        # that same eps / offset. Below span_tol state 2 is grouped and each
+        # target runs its own sweep
         rng = np.random.default_rng(4)
         vs = [haar_state(rng, 4).vector for _ in range(4)]
         q, _ = np.linalg.qr(np.stack(vs[:2], axis=1))
@@ -327,21 +328,39 @@ class TestConstructFamily:
             np.testing.assert_allclose(u.conj().T @ u, np.eye(4), rtol=0, atol=1e-14)
         assert_matches_reference_sweep(s, fam, list(range(4)), DEFAULT_SPAN_TOL, 1e-14 / offset)
 
-    def test_sweeps_share_the_reference_suffix(self, rng, monkeypatch):
-        # sweep k of the identity order meets the sweep for state 0 at rank
-        # k + 1, so the sweeps form 15 + (1 + ... + 15) = 135 new columns
-        # where sweeps from scratch form n(n - 1) = 240
+    def test_route_follows_the_grouping(self, rng, monkeypatch):
+        # a Haar set has only one-state groups, so one QR serves every
+        # target; qubit states padded to 16 dimensions are grouped, so each
+        # target runs its own sweep
         calls = []
-        reorthonormalize = distinguisher._reorthonormalize
+        sweep = distinguisher._sweep
 
-        def counting(r, basis):
-            calls.append(basis.shape[1])
-            return reorthonormalize(r, basis)
+        def counting(x, k, order, span_tol):
+            calls.append(k)
+            return sweep(x, k, order, span_tol)
 
-        monkeypatch.setattr(distinguisher, "_reorthonormalize", counting)
-        n = 16
-        construct_family(haar_state_set(rng, n))
-        assert len(calls) <= n * (n + 1) // 2
+        monkeypatch.setattr(distinguisher, "_sweep", counting)
+        construct_family(haar_state_set(rng, 16))
+        assert calls == []
+        construct_family(padded_haar_set(rng, 2, 8))
+        assert calls == list(range(16))
+
+    @settings(max_examples=200, deadline=None)
+    @given(labels=st.lists(st.integers(0, 11), min_size=1, max_size=12))
+    def test_closed_form_output_basis(self, labels):
+        # groups numbered densely in an arbitrary order; the reference puts
+        # each group's uniform superposition in its column and completes the
+        # rest from the standard kets
+        group = np.unique(labels, return_inverse=True)[1]
+        n, rank = group.size, group.max() + 1
+        c = np.zeros((n, n), dtype=complex)
+        c[np.arange(n), group] = 1 / np.sqrt(np.bincount(group)[group])
+        np.testing.assert_allclose(
+            distinguisher._output_basis(group),
+            distinguisher._complete_basis(c, rank),
+            rtol=0,
+            atol=1e-15,
+        )
 
 
 def assert_matches_reference_sweep(
